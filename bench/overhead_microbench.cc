@@ -7,7 +7,7 @@
  * full set). The paper reports roughly 10x for the full set and 2x
  * for a two-implementation subset.
  *
- * A second axis measures the parallel ExecutionService: the same
+ * A second axis measures DiffEngine's thread pool: the same
  * k = 10 oracle with 1/2/4/8 worker threads. On a multicore host the
  * full-set overhead shrinks toward the 2x of the budget subset while
  * producing bit-identical observations; on a single-core host the
@@ -16,8 +16,9 @@
  * A third axis measures the batch path: BM_BatchOracle drives
  * DiffEngine::runBatch over a deterministic 64-input batch so the
  * resident executors (decoded module, warm arena) run the whole
- * batch implementation-major — the execution shape of a batching
- * fuzz campaign — versus BM_CompDiff's one-round-per-input shape.
+ * batch implementation-major — the execution shape of a fuzz
+ * campaign's oracle flushes — versus BM_CompDiff's one input per
+ * round (runInput, the shape reduction and replay use).
  *
  * Besides the human-readable console table, the binary always emits
  * a machine-readable google-benchmark JSON report (default
@@ -192,7 +193,7 @@ BENCHMARK(BM_CompDiff)
     ->Args({10, 4})
     ->Args({10, 8});
 
-/** Phase 4b, the batching fuzz campaign's shape: the full k = 10
+/** Phase 4b, a fuzz campaign's oracle shape: the full k = 10
  *  oracle over a deterministic 64-input batch via
  *  DiffEngine::runBatch, implementation-major across the resident
  *  executors. items_per_second counts batch inputs, directly

@@ -22,8 +22,6 @@ covered=(
     src/support/thread_pool.cc
     src/compiler/cache.hh
     src/compiler/cache.cc
-    src/compdiff/exec_service.hh
-    src/compdiff/exec_service.cc
     src/fuzz/sharded.hh
     src/fuzz/sharded.cc
     tests/test_thread_pool.cc

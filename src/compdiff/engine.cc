@@ -2,10 +2,11 @@
 
 #include <sstream>
 
-#include "compdiff/exec_service.hh"
 #include "compiler/cache.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "support/hash.hh"
+#include "support/thread_pool.hh"
 
 namespace compdiff::core
 {
@@ -99,15 +100,23 @@ DiffEngine::DiffEngine(const minic::Program &program,
                        ImplementationSet impls, DiffOptions options)
     : impls_(std::move(impls)), options_(std::move(options))
 {
-    compileAll(program);
-    service_ = std::make_unique<ExecutionService>(
-        impls_, artifacts_, options_.limits, options_.jobs);
+    auto artifacts = compileAll(program);
+    executors_.reserve(impls_.size());
+    for (std::size_t i = 0; i < impls_.size(); i++) {
+        executors_.push_back(impls_[i]->makeExecutor(
+            std::move(artifacts[i]), options_.limits));
+    }
+    const std::size_t jobs =
+        options_.jobs == 0 ? support::ThreadPool::hardwareWorkers()
+                           : options_.jobs;
+    if (jobs > 1)
+        pool_ = std::make_unique<support::ThreadPool>(jobs);
 }
 
 DiffEngine::~DiffEngine() = default;
 
-void
-DiffEngine::compileAll(const minic::Program &program)
+std::vector<std::shared_ptr<const Artifact>>
+DiffEngine::compileAll(const minic::Program &program) const
 {
     obs::Span span("compdiff.compileAll");
     // One pretty-print fingerprints the program for the whole
@@ -116,18 +125,71 @@ DiffEngine::compileAll(const minic::Program &program)
     CompileContext ctx;
     ctx.programHash = compiler::programFingerprint(program);
     ctx.traitsTweak = options_.traitsTweak;
-    artifacts_.clear();
-    artifacts_.reserve(impls_.size());
+    std::vector<std::shared_ptr<const Artifact>> artifacts;
+    artifacts.reserve(impls_.size());
     for (const auto &impl : impls_)
-        artifacts_.push_back(impl->compile(program, ctx));
+        artifacts.push_back(impl->compile(program, ctx));
+    return artifacts;
 }
 
 void
 DiffEngine::retarget(const minic::Program &program)
 {
     obs::Span span("compdiff.retarget");
-    compileAll(program);
-    service_->rebindArtifacts(artifacts_);
+    auto artifacts = compileAll(program);
+    // Rebind in place to keep each executor's warm state; backends
+    // that cannot rebind get a fresh executor.
+    for (std::size_t i = 0; i < executors_.size(); i++) {
+        if (!executors_[i]->rebind(artifacts[i])) {
+            executors_[i] = impls_[i]->makeExecutor(
+                std::move(artifacts[i]), options_.limits);
+        }
+    }
+}
+
+void
+DiffEngine::runRound(std::span<const Bytes> inputs,
+                     std::span<const std::uint64_t> nonce_bases,
+                     std::span<DiffResult> results,
+                     std::uint64_t budget) const
+{
+    for (DiffResult &result : results) {
+        result.observations.resize(executors_.size());
+        result.attempts++;
+    }
+    // An executor is single-threaded, so implementation i owns
+    // column i of the batch and runs its inputs back to back.
+    const auto run_impl = [&](std::size_t i) {
+        const std::string &id = impls_[i]->id();
+        for (std::size_t b = 0; b < inputs.size(); b++) {
+            obs::Span exec_span(obs::tracingEnabled() ? "exec." + id
+                                                      : std::string());
+            const RawObservation raw = executors_[i]->execute(
+                inputs[b], nonce_bases[b] * executors_.size() + i + 1,
+                budget);
+            Observation &out = results[b].observations[i];
+            out.impl = id;
+            out.timedOut = raw.timedOut;
+            out.instructions = raw.instructions;
+            out.normalizedOutput =
+                options_.normalizer.normalize(raw.output);
+            out.exitClass = raw.exitClass;
+            support::HashCombiner combiner;
+            combiner.addString(out.normalizedOutput);
+            combiner.addString(out.exitClass);
+            out.hash = combiner.digest();
+        }
+    };
+    if (!pool_) {
+        for (std::size_t i = 0; i < executors_.size(); i++)
+            run_impl(i);
+        return;
+    }
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(executors_.size());
+    for (std::size_t i = 0; i < executors_.size(); i++)
+        tasks.push_back([&run_impl, i] { run_impl(i); });
+    pool_->runAll(std::move(tasks));
 }
 
 DiffResult
@@ -135,14 +197,8 @@ DiffEngine::runInput(const Bytes &input, std::uint64_t nonce_base) const
 {
     obs::Span run_span("compdiff.runInput");
     DiffResult result;
-    result.observations.resize(impls_.size());
-    result.attempts = 1;
-    // The k executions of a round run on the engine's
-    // ExecutionService (in parallel when options_.jobs > 1);
-    // observations land in configuration order either way.
-    service_->runRound(input, nonce_base,
-                       options_.limits.maxInstructions,
-                       options_.normalizer, result.observations);
+    runRound({&input, 1}, {&nonce_base, 1}, {&result, 1},
+             options_.limits.maxInstructions);
     finishInput(result, input, nonce_base);
     return result;
 }
@@ -153,22 +209,11 @@ DiffEngine::runBatch(const std::vector<Bytes> &inputs,
 {
     obs::Span run_span("compdiff.runBatch");
     std::vector<DiffResult> results(inputs.size());
-    if (inputs.empty())
-        return results;
-
-    // First round for the whole batch, implementation-major: each
-    // resident executor (warm decoded module + arena) runs every
-    // input back to back.
-    std::vector<std::vector<Observation>> rounds;
-    service_->runBatch(inputs, nonce_bases,
-                       options_.limits.maxInstructions,
-                       options_.normalizer, rounds);
-    for (std::size_t b = 0; b < inputs.size(); b++) {
-        results[b].attempts = 1;
-        results[b].observations = std::move(rounds[b]);
-        // RQ6 retries (rare) and classification complete per input.
+    runRound(inputs, nonce_bases, results,
+             options_.limits.maxInstructions);
+    // RQ6 retries (rare) and classification complete per input.
+    for (std::size_t b = 0; b < inputs.size(); b++)
         finishInput(results[b], inputs[b], nonce_bases[b]);
-    }
     return results;
 }
 
@@ -176,9 +221,8 @@ void
 DiffEngine::finishInput(DiffResult &result, const Bytes &input,
                         std::uint64_t nonce_base) const
 {
-    // result.observations holds the first round; the loop below
-    // continues the budget schedule exactly where a serial
-    // runInput's round loop would be after its first iteration.
+    // result.observations holds the first round; each partial
+    // timeout below raises the budget and reruns the whole round.
     std::uint64_t budget = options_.limits.maxInstructions;
     int attempts_left = (options_.retryTimeouts
                              ? options_.timeoutRetries + 1
@@ -203,9 +247,7 @@ DiffEngine::finishInput(DiffResult &result, const Bytes &input,
         obs::counter("compdiff.timeout_retries").add();
         if (attempts_left-- <= 0)
             break;
-        result.attempts++;
-        service_->runRound(input, nonce_base, budget,
-                           options_.normalizer, result.observations);
+        runRound({&input, 1}, {&nonce_base, 1}, {&result, 1}, budget);
     }
 
     // Assign behavior classes.

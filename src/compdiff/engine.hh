@@ -21,6 +21,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,10 +31,13 @@
 #include "support/bytes.hh"
 #include "vm/vm.hh"
 
+namespace compdiff::support
+{
+class ThreadPool;
+}
+
 namespace compdiff::core
 {
-
-class ExecutionService;
 
 /** Engine knobs. */
 struct DiffOptions
@@ -47,9 +51,9 @@ struct DiffOptions
     /**
      * Worker threads for the k-way execution fan-out: 1 = serial
      * (the seed behavior), 0 = one per hardware thread. Results are
-     * bit-identical for every value — the ExecutionService fills the
-     * observation vector in configuration order and nonces depend
-     * only on (nonce_base, config index), never on scheduling.
+     * bit-identical for every value — every observation lands in its
+     * implementation's slot and nonces depend only on (nonce_base,
+     * implementation index), never on scheduling.
      */
     std::size_t jobs = 1;
     /**
@@ -115,15 +119,18 @@ struct DiffResult
  * Compilation happens once, in the constructor, into one Artifact
  * per implementation (the simulated family memoizes modules in the
  * process-wide compiler::CompileCache, so rebuilding an engine for
- * the same (program, impl, traits) skips recompilation entirely);
- * runInput() then only executes (the forkserver-style reuse from
- * Section 3.2), dispatching the k executions over the engine's
- * ExecutionService (serially when options.jobs == 1).
+ * the same (program, impl, traits) skips recompilation entirely).
+ * The engine keeps one resident Executor per implementation — a warm
+ * Vm for the simulated family, a warm tree-walker for the reference
+ * interpreter — so runInput() and runBatch() only execute (the
+ * forkserver-style reuse from Section 3.2). With options.jobs > 1
+ * the k executors run on the engine's own support::ThreadPool, one
+ * task per implementation.
  *
  * Concurrency: a DiffEngine may be driven by one thread at a time
- * (its ExecutionService reuses per-implementation Executor state
- * between rounds). Sharded campaigns construct one engine per shard;
- * the compile cache makes those k-way compilations nearly free.
+ * (its executors keep per-worker state between rounds). Sharded
+ * campaigns construct one engine per shard; the compile cache makes
+ * those k-way compilations nearly free.
  */
 class DiffEngine
 {
@@ -169,10 +176,10 @@ class DiffEngine
      * Run a batch of inputs against the resident binaries — one
      * DiffResult per input, each bit-identical to
      * runInput(inputs[b], nonce_bases[b]). The first execution round
-     * of the whole batch is dispatched implementation-major through
-     * the ExecutionService (each resident executor runs every input
-     * back to back); the rare RQ6 timeout-retry rounds then complete
-     * per input. `nonce_bases` must have one entry per input.
+     * of the whole batch runs implementation-major (each resident
+     * executor runs every input back to back); the rare RQ6
+     * timeout-retry rounds then complete per input. `nonce_bases`
+     * must have one entry per input.
      */
     std::vector<DiffResult>
     runBatch(const std::vector<support::Bytes> &inputs,
@@ -206,20 +213,38 @@ class DiffEngine
 
   private:
     /**
-     * Complete a result whose observations hold the first round
-     * (result.attempts == 1): run the RQ6 timeout-retry loop, assign
-     * behavior classes, and record metrics. Shared by runInput and
-     * runBatch so the two paths cannot drift.
+     * The one execution loop: run every implementation on each of
+     * `inputs` at `budget`, storing input b's observation of
+     * implementation i in results[b].observations[i] and counting
+     * the round in results[b].attempts. Implementation-major: each
+     * resident executor (decoded module, warm arena) runs the whole
+     * batch back to back — inline at jobs == 1, as one pool task per
+     * implementation at jobs > 1. Every observation is a pure
+     * function of (implementation, input, nonce base, budget), so
+     * neither the order nor the fan-out can change a result.
+     */
+    void runRound(std::span<const support::Bytes> inputs,
+                  std::span<const std::uint64_t> nonce_bases,
+                  std::span<DiffResult> results,
+                  std::uint64_t budget) const;
+
+    /**
+     * Complete a result whose observations hold the first round:
+     * run the RQ6 timeout-retry loop, assign behavior classes, and
+     * record metrics. Shared by runInput and runBatch.
      */
     void finishInput(DiffResult &result, const support::Bytes &input,
                      std::uint64_t nonce_base) const;
 
-    void compileAll(const minic::Program &program);
+    std::vector<std::shared_ptr<const Artifact>>
+    compileAll(const minic::Program &program) const;
 
     ImplementationSet impls_;
     DiffOptions options_;
-    std::vector<std::shared_ptr<const Artifact>> artifacts_;
-    std::unique_ptr<ExecutionService> service_;
+    /** Resident per-implementation workers, observation order. */
+    std::vector<std::unique_ptr<Executor>> executors_;
+    /** Present only when jobs > 1. */
+    std::unique_ptr<support::ThreadPool> pool_;
 };
 
 } // namespace compdiff::core

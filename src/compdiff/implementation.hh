@@ -37,7 +37,7 @@
  *   "all"               paper10 plus the reference interpreter
  *
  * Adding a backend is one registerFamily() call — no enum widening,
- * no DiffEngine/ExecutionService changes.
+ * no DiffEngine changes.
  */
 
 #include <cstdint>
@@ -84,7 +84,7 @@ class Artifact
  * A reusable execution worker for one artifact — the forkserver
  * analog. Executors hold per-worker mutable state (a Vm, an
  * interpreter), so one executor must not be driven from two threads
- * at once; ExecutionService keeps one per implementation.
+ * at once; DiffEngine keeps one per implementation.
  */
 class Executor
 {

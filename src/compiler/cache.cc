@@ -5,6 +5,7 @@
 #include <mutex>
 
 #include "compiler/compiler.hh"
+#include "compiler/lowering.hh"
 #include "minic/printer.hh"
 #include "obs/metrics.hh"
 #include "support/hash.hh"
@@ -15,8 +16,13 @@ namespace compdiff::compiler
 std::uint64_t
 programFingerprint(const minic::Program &program)
 {
-    return support::murmurHash64(minic::printProgram(program),
-                                 /*seed=*/0x0C0FFEEu);
+    // Printing renumbers source lines and lowering reads them, so the
+    // text alone would give a program and its printed-and-reparsed
+    // form one module.
+    support::HashCombiner combiner(0x0C0FFEEu);
+    combiner.addString(minic::printProgram(program));
+    combiner.add(sourceLineFingerprint(program));
+    return combiner.digest();
 }
 
 std::uint64_t

@@ -13,7 +13,9 @@
  * Module), so we memoize it.
  *
  * The cache key is MurmurHash3 over the *content* of the inputs:
- *   - the pretty-printed program source (minic::printProgram),
+ *   - the pretty-printed program source (minic::printProgram) plus
+ *     the source lines lowering reads, which printing renumbers
+ *     (sourceLineFingerprint),
  *   - the implementation id string ("gcc-O2", ...), and
  *   - a Traits fingerprint covering every field that can influence
  *     compilation (traitsTweak ablations hash differently from the
@@ -50,7 +52,8 @@
 namespace compdiff::compiler
 {
 
-/** MurmurHash3 content fingerprint of a whole analyzed program. */
+/** MurmurHash3 content fingerprint of a whole analyzed program: its
+ *  printed text and the source lines lowering reads. */
 std::uint64_t programFingerprint(const minic::Program &program);
 
 /** Fingerprint of every compile-relevant field of a Traits value. */

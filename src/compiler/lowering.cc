@@ -1158,6 +1158,126 @@ Lowering::layoutGlobals(Module &module)
     module.globalsSegmentSize = alignUp(offset + gap, 16);
 }
 
+namespace
+{
+
+/** The cur_line() call lines of one expression tree (clang's
+ *  reading of cur_line(), genCall), in print order. */
+void
+addCallLines(support::HashCombiner &lines, const minic::Expr &expr)
+{
+    const auto sub = [&](const ExprPtr &child) {
+        if (child)
+            addCallLines(lines, *child);
+    };
+    switch (expr.kind()) {
+      case ExprKind::Unary:
+        sub(static_cast<const UnaryExpr &>(expr).operand);
+        return;
+      case ExprKind::Binary:
+        sub(static_cast<const BinaryExpr &>(expr).lhs);
+        sub(static_cast<const BinaryExpr &>(expr).rhs);
+        return;
+      case ExprKind::Assign:
+        sub(static_cast<const AssignExpr &>(expr).target);
+        sub(static_cast<const AssignExpr &>(expr).value);
+        return;
+      case ExprKind::Cond: {
+        const auto &cond = static_cast<const CondExpr &>(expr);
+        sub(cond.cond);
+        sub(cond.thenExpr);
+        sub(cond.elseExpr);
+        return;
+      }
+      case ExprKind::Call: {
+        const auto &call = static_cast<const CallExpr &>(expr);
+        if (call.builtin == Builtin::CurLine)
+            lines.add(call.loc().line);
+        for (const auto &arg : call.args)
+            sub(arg);
+        return;
+      }
+      case ExprKind::Index:
+        sub(static_cast<const IndexExpr &>(expr).base);
+        sub(static_cast<const IndexExpr &>(expr).index);
+        return;
+      case ExprKind::Member:
+        sub(static_cast<const MemberExpr &>(expr).base);
+        return;
+      case ExprKind::Cast:
+        sub(static_cast<const CastExpr &>(expr).operand);
+        return;
+      default:
+        return;
+    }
+}
+
+/** Every statement's line (genStmt: its instructions' line and
+ *  gcc's cur_line()) plus its cur_line() call lines, in print
+ *  order. */
+void
+addLines(support::HashCombiner &lines, const minic::Stmt &stmt)
+{
+    const auto expr = [&](const ExprPtr &e) {
+        if (e)
+            addCallLines(lines, *e);
+    };
+    lines.add(stmt.loc().line);
+    switch (stmt.kind()) {
+      case StmtKind::Block:
+        for (const auto &child :
+             static_cast<const BlockStmt &>(stmt).body)
+            addLines(lines, *child);
+        return;
+      case StmtKind::VarDecl:
+        expr(static_cast<const VarDeclStmt &>(stmt).init);
+        return;
+      case StmtKind::If: {
+        const auto &if_stmt = static_cast<const IfStmt &>(stmt);
+        expr(if_stmt.cond);
+        addLines(lines, *if_stmt.thenStmt);
+        if (if_stmt.elseStmt)
+            addLines(lines, *if_stmt.elseStmt);
+        return;
+      }
+      case StmtKind::While:
+        expr(static_cast<const WhileStmt &>(stmt).cond);
+        addLines(lines, *static_cast<const WhileStmt &>(stmt).body);
+        return;
+      case StmtKind::For: {
+        const auto &for_stmt = static_cast<const ForStmt &>(stmt);
+        if (for_stmt.init)
+            addLines(lines, *for_stmt.init);
+        expr(for_stmt.cond);
+        expr(for_stmt.step);
+        addLines(lines, *for_stmt.body);
+        return;
+      }
+      case StmtKind::Return:
+        expr(static_cast<const ReturnStmt &>(stmt).value);
+        return;
+      case StmtKind::ExprStmt:
+        expr(static_cast<const ExprStmt &>(stmt).expr);
+        return;
+      case StmtKind::Break:
+      case StmtKind::Continue:
+        return;
+    }
+}
+
+} // namespace
+
+std::uint64_t
+sourceLineFingerprint(const minic::Program &program)
+{
+    support::HashCombiner lines(0x11E5u);
+    for (const auto &func : program.functions) {
+        if (func->body)
+            addLines(lines, *func->body);
+    }
+    return lines.digest();
+}
+
 bytecode::Module
 Lowering::lower(
     const std::vector<std::unique_ptr<minic::FunctionDecl>> &funcs)

@@ -11,6 +11,7 @@
  * sanitizer builds — the inserted UBSan checks.
  */
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -20,6 +21,15 @@
 
 namespace compdiff::compiler
 {
+
+/**
+ * Fingerprint of the source lines lowering reads: every statement's
+ * line, which its instructions carry and gcc's cur_line() returns,
+ * and every cur_line() call's own line, which clang's returns.
+ * minic::printProgram renumbers lines, so programFingerprint hashes
+ * this next to the printed text.
+ */
+std::uint64_t sourceLineFingerprint(const minic::Program &program);
 
 /**
  * Lowers a set of (already transformed) functions plus the program's

@@ -118,39 +118,27 @@ Fuzzer::executeOne(Bytes input, std::size_t depth)
     if (!diffEngine_)
         return;
 
-    if (oracleBatchActive_) {
-        // Defer the k-way oracle round: the queue drains through
-        // DiffEngine::runBatch at the next observation point (plot
-        // sample, safe point, end of run), implementation-major so
-        // each resident binary runs the batch back to back.
-        // nonceCounter_ == stats_.execs here, so the recorded exec
-        // index doubles as the oracle nonce base — the same value
-        // restoreState() replays the record under.
-        pendingDiffs_.push_back(
-            {std::move(input), nonceCounter_, result.probes});
+    // Queue the k-way oracle round: the queue drains through
+    // DiffEngine::runBatch at the next observation point (plot
+    // sample, safe point, end of run), implementation-major so each
+    // resident binary runs the batch back to back. nonceCounter_ ==
+    // stats_.execs here, so the recorded exec index doubles as the
+    // oracle nonce base — the same value restoreState() replays the
+    // record under.
+    PendingDiff pending{std::move(input), nonceCounter_,
+                        result.probes};
+    if (!options_.divergenceFeedback) {
+        pendingDiffs_.push_back(std::move(pending));
         return;
     }
-
-    auto diff = diffEngine_->runInput(input, nonceCounter_);
-
-    // Optional NEZHA-style feedback: a new behavior-class partition
-    // is as interesting as new coverage. Feedback mutates the corpus
-    // per execution, which is why the batch path above is never
-    // taken when it is enabled.
-    if (options_.divergenceFeedback) {
-        support::HashCombiner partition;
-        for (std::size_t cls : diff.classOf)
-            partition.add(cls);
-        if (partitionsSeen_.insert(partition.digest()).second &&
-            partitionsSeen_.size() > 1) {
-            corpus_.push_back({input, coverage_.countBits(),
-                               stats_.execs,
-                               static_cast<int>(depth) + 1});
-        }
-    }
-
-    recordDiffOutcome(input, std::move(diff), result.probes,
-                      stats_.execs);
+    // NEZHA feedback folds each oracle result back into the corpus,
+    // so it cannot wait for an observation point: flush right away,
+    // and the partition seed lands right after this execution's
+    // coverage seed.
+    pending.coverageBits = coverage_.countBits();
+    pending.depth = static_cast<int>(depth) + 1;
+    pendingDiffs_.push_back(std::move(pending));
+    flushDiffBatch();
 }
 
 void
@@ -196,9 +184,8 @@ Fuzzer::recordDiffOutcome(const Bytes &input, core::DiffResult diff,
         diffSignatures_[signature] = diffs_.size();
         diffs_.push_back({input, std::move(diff), exec_index, probes,
                           signature, semantic_key, {}});
-        // max(), not assignment: a batch flush can record a find
-        // after later executions already advanced the clock, and
-        // the serial path's monotone assignments are the same value.
+        // max(), not assignment: a flush can record a find after
+        // later executions already advanced the clock.
         stats_.lastFindExec =
             std::max(stats_.lastFindExec, exec_index);
         stats_.lastDiffExec =
@@ -256,9 +243,21 @@ Fuzzer::flushDiffBatch()
     }
     auto results = diffEngine_->runBatch(inputs, nonce_bases);
     for (std::size_t i = 0; i < results.size(); i++) {
+        const PendingDiff &pending = pendingDiffs_[i];
+        // Optional NEZHA-style feedback: a new behavior-class
+        // partition is as interesting as new coverage.
+        if (options_.divergenceFeedback) {
+            support::HashCombiner partition;
+            for (std::size_t cls : results[i].classOf)
+                partition.add(cls);
+            if (partitionsSeen_.insert(partition.digest()).second &&
+                partitionsSeen_.size() > 1) {
+                corpus_.push_back({inputs[i], pending.coverageBits,
+                                   pending.execIndex, pending.depth});
+            }
+        }
         recordDiffOutcome(inputs[i], std::move(results[i]),
-                          pendingDiffs_[i].probes,
-                          pendingDiffs_[i].execIndex);
+                          pending.probes, pending.execIndex);
     }
     pendingDiffs_.clear();
 }
@@ -279,9 +278,9 @@ Fuzzer::importSeeds(const std::vector<Bytes> &inputs)
         imported++;
     }
     // Imports happen at safe points (fleet sync inside the iteration
-    // hook): complete their deferred oracle runs before returning so
+    // hook): complete their queued oracle runs before returning so
     // the caller — which may checkpoint next — sees fully triaged
-    // state, exactly as the serial path would leave it.
+    // state.
     flushDiffBatch();
     return imported;
 }
@@ -311,14 +310,9 @@ Fuzzer::run()
     if (resumed_ && stats_.execs >= options_.maxExecs)
         return stats_;
 
-    // Batch the oracle whenever its results cannot influence fuzzing
-    // decisions (divergence feedback folds oracle results back into
-    // the corpus, so it stays serial). Every observation point below
-    // flushes first, which keeps plot rows, checkpoints, and final
-    // stats bit-identical to the serial oracle.
-    oracleBatchActive_ = diffEngine_ && options_.oracleBatch &&
-                         !options_.divergenceFeedback;
-
+    // Every observation point below (safe point, plot sample, end of
+    // run) flushes the oracle queue first, so plot rows, checkpoints
+    // and final stats count every input executed so far.
     const auto sample_plot = [&] {
         plot_.addRow({stats_.execs, corpus_.size(), crashes_.size(),
                       diffs_.size(), virgin_.edgesSeen(),
@@ -381,7 +375,6 @@ Fuzzer::run()
     }
 
     flushDiffBatch();
-    oracleBatchActive_ = false;
     stats_.seeds = corpus_.size();
     stats_.crashes = crashes_.size();
     stats_.diffs = diffs_.size();

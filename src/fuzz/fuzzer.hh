@@ -109,8 +109,8 @@ struct FuzzOptions
      * Worker threads for the k-way differential oracle inside this
      * campaign (DiffOptions::jobs): 1 = serial, 0 = hardware.
      * Campaign results are bit-identical for every value — threads
-     * change wall-clock only, never observations (see
-     * ExecutionService). Shard-level parallelism is separate: see
+     * change wall-clock only, never observations (see DiffEngine).
+     * Shard-level parallelism is separate: see
      * fuzz::runShardedCampaign.
      */
     std::size_t jobs = 1;
@@ -133,7 +133,7 @@ struct FuzzOptions
      * sanitized implementations, and classified FN/FP findings are
      * recorded as FoundDiffs keyed by their finding signature. The
      * differential oracle knobs (enableCompDiff, diffImpls,
-     * oracleBatch, divergenceFeedback) are ignored in this mode.
+     * divergenceFeedback) are ignored in this mode.
      */
     bool sancheckMode = false;
     /** Sanitized implementations for sancheck mode; empty means
@@ -145,23 +145,11 @@ struct FuzzOptions
      * outlook): treat a never-seen behavior-class *partition* of the
      * differential binaries as novelty and keep the input as a seed,
      * in addition to the coverage signal. Off by default — plain
-     * CompDiff-AFL++ leaves the fuzzer's feedback untouched.
+     * CompDiff-AFL++ leaves the fuzzer's feedback untouched. The
+     * oracle results then steer the corpus, so the oracle queue is
+     * flushed after every execution instead of at observation points.
      */
     bool divergenceFeedback = false;
-
-    /**
-     * Batch the CompDiff oracle: queue generated inputs and run them
-     * through DiffEngine::runBatch at observation points (plot
-     * samples, safe points, end of run) instead of one k-way round
-     * per execution, so each resident binary (decoded module, warm
-     * arena) runs the whole batch back to back. Observable campaign
-     * state — stats, plot rows, found diffs, checkpoints — is
-     * bit-identical to the serial oracle; the knob exists to A/B the
-     * two execution paths. Ignored (stays serial) under
-     * divergenceFeedback, whose oracle results steer the corpus and
-     * therefore cannot be deferred.
-     */
-    bool oracleBatch = true;
 
     vm::VmLimits limits;
     /** Mutations attempted per selected seed. */
@@ -374,20 +362,21 @@ class Fuzzer
 
   private:
     std::size_t selectSeed();
-    /** Takes the input by value: executing it may grow corpus_ and
-     *  would invalidate any reference into it. */
+    /** Run B_fuzz on one input and queue its oracle run. Takes the
+     *  input by value: executing it may grow corpus_ and would
+     *  invalidate any reference into it. */
     void executeOne(support::Bytes input, std::size_t depth);
     /** Account one oracle outcome (RQ6 retry rounds) and
-     *  dedup/record a divergence. Shared by the serial oracle path
-     *  and batch flushes so the two cannot drift; `exec_index` is
-     *  the execution the input was generated at, which a flush
-     *  records even after later executions advanced the clock. */
+     *  dedup/record a divergence; `exec_index` is the execution the
+     *  input was generated at, which a flush records even after
+     *  later executions advanced the clock. */
     void recordDiffOutcome(const support::Bytes &input,
                            core::DiffResult diff,
                            const std::vector<int> &probes,
                            std::uint64_t exec_index);
     /** Run every queued input through DiffEngine::runBatch and
-     *  record the outcomes. No-op when nothing is pending. */
+     *  record the outcomes (plus NEZHA seeds under
+     *  divergenceFeedback). No-op when nothing is pending. */
     void flushDiffBatch();
     /** Sancheck mode: certify + sanitize + classify one input and
      *  dedup/record the findings under their signature hashes. */
@@ -442,8 +431,7 @@ class Fuzzer
      *  shares). */
     std::uint64_t canonFingerprint_ = 0;
 
-    /** An execution whose oracle run is deferred to the next batch
-     *  flush (FuzzOptions::oracleBatch). */
+    /** An execution whose oracle run waits for the next flush. */
     struct PendingDiff
     {
         support::Bytes input;
@@ -452,11 +440,12 @@ class Fuzzer
         std::uint64_t execIndex = 0;
         /** Ground-truth probes from the B_fuzz run (triage key). */
         std::vector<int> probes;
+        /** Seed fields for a NEZHA corpus entry (divergenceFeedback
+         *  only; 0 otherwise). */
+        std::size_t coverageBits = 0;
+        int depth = 0;
     };
     std::vector<PendingDiff> pendingDiffs_;
-    /** True while run() batches the oracle; executeOne() queues
-     *  instead of running the k-way round inline. */
-    bool oracleBatchActive_ = false;
 };
 
 } // namespace compdiff::fuzz

@@ -1,5 +1,6 @@
 #include "minic/printer.hh"
 
+#include <cstdint>
 #include <sstream>
 
 namespace compdiff::minic
@@ -31,10 +32,55 @@ escape(const std::string &raw)
     return out;
 }
 
-} // namespace
+/**
+ * Where a statement's header stands while it prints. Lowering reads
+ * cur_line() two ways (compiler/lowering.cc): as the line of the
+ * statement being lowered (gcc) or as the call's own line (clang).
+ * The printer puts a statement header on one line, which would erase
+ * that difference, so a cur_line() call that sat on a later line than
+ * its statement moves down by the same number of lines. The reparsed
+ * program reads the same offsets, and printing it again gives the
+ * same text.
+ */
+struct LineCursor
+{
+    /** Source line lowering charges the header's expressions to. */
+    std::uint32_t anchor = 0;
+    /** Newlines printed since the header began. */
+    std::uint32_t offset = 0;
+    int indent = 0;
+};
+
+std::string printExprAt(const Expr &expr, LineCursor *cursor);
+
+/** A VarDecl or ExprStmt with its ';' but no indentation or newline:
+ *  the form it takes both as a statement and as a for-init. */
+std::string
+printSimpleStmt(const Stmt &stmt, LineCursor &cursor)
+{
+    if (stmt.kind() == StmtKind::ExprStmt) {
+        return printExprAt(*static_cast<const ExprStmt &>(stmt).expr,
+                           &cursor) +
+               ";";
+    }
+    if (stmt.kind() != StmtKind::VarDecl)
+        return "?;";
+    const auto &decl = static_cast<const VarDeclStmt &>(stmt);
+    std::ostringstream os;
+    if (decl.declType->isArray()) {
+        os << decl.declType->element()->str() << " " << decl.name << "["
+           << decl.declType->arrayLength() << "]";
+    } else {
+        os << decl.declType->str() << " " << decl.name;
+    }
+    if (decl.init)
+        os << " = " << printExprAt(*decl.init, &cursor);
+    os << ";";
+    return os.str();
+}
 
 std::string
-printExpr(const Expr &expr)
+printExprAt(const Expr &expr, LineCursor *cursor)
 {
     std::ostringstream os;
     switch (expr.kind()) {
@@ -68,59 +114,68 @@ printExpr(const Expr &expr)
           case UnaryOp::Deref: spelling = "*"; break;
           case UnaryOp::AddrOf: spelling = "&"; break;
         }
-        return std::string(spelling) + printExpr(*un.operand);
+        return std::string(spelling) +
+               printExprAt(*un.operand, cursor);
       }
       case ExprKind::Binary: {
         const auto &bin = static_cast<const BinaryExpr &>(expr);
-        os << "(" << printExpr(*bin.lhs) << " "
-           << binaryOpSpelling(bin.op) << " " << printExpr(*bin.rhs)
-           << ")";
+        os << "(" << printExprAt(*bin.lhs, cursor) << " "
+           << binaryOpSpelling(bin.op) << " "
+           << printExprAt(*bin.rhs, cursor) << ")";
         if (bin.widenTo64)
             os << "/*widened*/";
         return os.str();
       }
       case ExprKind::Assign: {
         const auto &assign = static_cast<const AssignExpr &>(expr);
-        os << printExpr(*assign.target) << " ";
+        os << printExprAt(*assign.target, cursor) << " ";
         if (assign.compoundOp)
             os << binaryOpSpelling(*assign.compoundOp);
-        os << "= " << printExpr(*assign.value);
+        os << "= " << printExprAt(*assign.value, cursor);
         return os.str();
       }
       case ExprKind::Cond: {
         const auto &cond = static_cast<const CondExpr &>(expr);
-        os << "(" << printExpr(*cond.cond) << " ? "
-           << printExpr(*cond.thenExpr) << " : "
-           << printExpr(*cond.elseExpr) << ")";
+        os << "(" << printExprAt(*cond.cond, cursor) << " ? "
+           << printExprAt(*cond.thenExpr, cursor) << " : "
+           << printExprAt(*cond.elseExpr, cursor) << ")";
         return os.str();
       }
       case ExprKind::Call: {
         const auto &call = static_cast<const CallExpr &>(expr);
+        if (cursor && call.builtin == Builtin::CurLine &&
+            call.loc().line > cursor->anchor + cursor->offset) {
+            const std::uint32_t target =
+                call.loc().line - cursor->anchor;
+            os << std::string(target - cursor->offset, '\n')
+               << pad(cursor->indent + 1);
+            cursor->offset = target;
+        }
         os << call.callee << "(";
         for (std::size_t i = 0; i < call.args.size(); i++) {
             if (i)
                 os << ", ";
-            os << printExpr(*call.args[i]);
+            os << printExprAt(*call.args[i], cursor);
         }
         os << ")";
         return os.str();
       }
       case ExprKind::Index: {
         const auto &index = static_cast<const IndexExpr &>(expr);
-        os << printExpr(*index.base) << "["
-           << printExpr(*index.index) << "]";
+        os << printExprAt(*index.base, cursor) << "["
+           << printExprAt(*index.index, cursor) << "]";
         return os.str();
       }
       case ExprKind::Member: {
         const auto &member = static_cast<const MemberExpr &>(expr);
-        os << printExpr(*member.base)
+        os << printExprAt(*member.base, cursor)
            << (member.isArrow ? "->" : ".") << member.field;
         return os.str();
       }
       case ExprKind::Cast: {
         const auto &cast = static_cast<const CastExpr &>(expr);
         os << "(" << cast.target->str() << ")"
-           << printExpr(*cast.operand);
+           << printExprAt(*cast.operand, cursor);
         return os.str();
       }
       case ExprKind::SizeOf:
@@ -132,10 +187,19 @@ printExpr(const Expr &expr)
     return "?";
 }
 
+} // namespace
+
+std::string
+printExpr(const Expr &expr)
+{
+    return printExprAt(expr, nullptr);
+}
+
 std::string
 printStmt(const Stmt &stmt, int indent)
 {
     std::ostringstream os;
+    LineCursor cursor{stmt.loc().line, 0, indent};
     switch (stmt.kind()) {
       case StmtKind::Block: {
         os << pad(indent) << "{\n";
@@ -145,24 +209,13 @@ printStmt(const Stmt &stmt, int indent)
         os << pad(indent) << "}\n";
         return os.str();
       }
-      case StmtKind::VarDecl: {
-        const auto &decl = static_cast<const VarDeclStmt &>(stmt);
-        os << pad(indent);
-        if (decl.declType->isArray()) {
-            os << decl.declType->element()->str() << " " << decl.name
-               << "[" << decl.declType->arrayLength() << "]";
-        } else {
-            os << decl.declType->str() << " " << decl.name;
-        }
-        if (decl.init)
-            os << " = " << printExpr(*decl.init);
-        os << ";\n";
-        return os.str();
-      }
+      case StmtKind::VarDecl:
+      case StmtKind::ExprStmt:
+        return pad(indent) + printSimpleStmt(stmt, cursor) + "\n";
       case StmtKind::If: {
         const auto &if_stmt = static_cast<const IfStmt &>(stmt);
-        os << pad(indent) << "if (" << printExpr(*if_stmt.cond)
-           << ")\n"
+        os << pad(indent) << "if ("
+           << printExprAt(*if_stmt.cond, &cursor) << ")\n"
            << printStmt(*if_stmt.thenStmt, indent);
         if (if_stmt.elseStmt) {
             os << pad(indent) << "else\n"
@@ -173,29 +226,29 @@ printStmt(const Stmt &stmt, int indent)
       case StmtKind::While: {
         const auto &while_stmt =
             static_cast<const WhileStmt &>(stmt);
-        os << pad(indent) << "while (" << printExpr(*while_stmt.cond)
-           << ")\n"
+        os << pad(indent) << "while ("
+           << printExprAt(*while_stmt.cond, &cursor) << ")\n"
            << printStmt(*while_stmt.body, indent);
         return os.str();
       }
       case StmtKind::For: {
         const auto &for_stmt = static_cast<const ForStmt &>(stmt);
         os << pad(indent) << "for (";
+        // Lowering charges the init and the condition to the init
+        // statement, and the step to the for itself.
         if (for_stmt.init) {
-            std::string init = printStmt(*for_stmt.init, 0);
-            while (!init.empty() &&
-                   (init.back() == '\n' || init.back() == ' '))
-                init.pop_back();
-            os << init;
+            cursor.anchor = for_stmt.init->loc().line;
+            os << printSimpleStmt(*for_stmt.init, cursor);
         } else {
             os << ";";
         }
         os << " ";
         if (for_stmt.cond)
-            os << printExpr(*for_stmt.cond);
+            os << printExprAt(*for_stmt.cond, &cursor);
         os << "; ";
+        cursor.anchor = stmt.loc().line;
         if (for_stmt.step)
-            os << printExpr(*for_stmt.step);
+            os << printExprAt(*for_stmt.step, &cursor);
         os << ")\n" << printStmt(*for_stmt.body, indent);
         return os.str();
       }
@@ -203,7 +256,7 @@ printStmt(const Stmt &stmt, int indent)
         const auto &ret = static_cast<const ReturnStmt &>(stmt);
         os << pad(indent) << "return";
         if (ret.value)
-            os << " " << printExpr(*ret.value);
+            os << " " << printExprAt(*ret.value, &cursor);
         os << ";\n";
         return os.str();
       }
@@ -211,10 +264,6 @@ printStmt(const Stmt &stmt, int indent)
         return pad(indent) + "break;\n";
       case StmtKind::Continue:
         return pad(indent) + "continue;\n";
-      case StmtKind::ExprStmt:
-        return pad(indent) +
-               printExpr(*static_cast<const ExprStmt &>(stmt).expr) +
-               ";\n";
     }
     return pad(indent) + "?;\n";
 }

@@ -3,9 +3,14 @@
 /**
  * @file
  * AST pretty-printer: renders an (analyzed or transformed) AST back
- * to readable MiniC-like source. Its main consumer is debugging the
- * optimization passes — print a function before and after a pass to
- * see exactly what the UB-exploiting rewrite did.
+ * to readable MiniC-like source. Triage prints and reparses programs
+ * (reduction candidates, canonical forms, filed bundles), so parsing
+ * printProgram's output yields a program that behaves like the
+ * original, and printing that again yields the same text. Each
+ * statement header goes on one line, except that a cur_line() call
+ * keeps its line offset from its statement, the one thing lowering
+ * reads from the layout. The printer is also the lens for debugging
+ * the optimization passes.
  */
 
 #include <string>

@@ -16,7 +16,7 @@
  *      counts are the pipeline's time axis.
  *
  * Thread safety: the whole registry is safe under real concurrency
- * (the parallel ExecutionService and sharded campaigns bump counters
+ * (a parallel DiffEngine and sharded campaigns bump counters
  * from worker threads). Registration is serialized by a registry
  * mutex; handle bumps are relaxed atomics and never take a lock.
  * Handles returned by Registry::{counter,gauge,histogram} are stable

@@ -60,7 +60,7 @@ struct TraceRecorder::Impl
      * ring. Together: "how the run started and how it was going".
      *
      * Guards every field below: spans complete on worker threads
-     * when the ExecutionService dispatches executions in parallel.
+     * when a DiffEngine with jobs > 1 runs executions in parallel.
      */
     mutable std::mutex mu;
     std::vector<TraceEvent> pinned;

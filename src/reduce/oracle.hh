@@ -20,9 +20,8 @@
  *     the same implementations must still disagree in the same
  *     grouping.
  *   - The oracle re-runs the full ImplementationSet through a
- *     core::DiffEngine (and thus core::ExecutionService), with a
- *     fixed nonce so acceptance is deterministic and independent of
- *     scheduling. The process-wide compiler::CompileCache absorbs
+ *     core::DiffEngine, with a fixed nonce so acceptance is
+ *     deterministic and independent of scheduling. The process-wide compiler::CompileCache absorbs
  *     the many candidate recompiles of program reduction.
  *   - A candidate budget bounds the total number of oracle
  *     evaluations per reduction (the CI smoke relies on this to keep

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 
@@ -81,27 +80,8 @@ constexpr std::size_t kMaxOperandSlots = std::size_t{1} << 20;
 DispatchMode
 defaultDispatchMode()
 {
-    static const DispatchMode mode = [] {
-#if COMPDIFF_VM_HAS_THREADED
-#ifdef COMPDIFF_DISPATCH_SWITCH
-        DispatchMode m = DispatchMode::Switch;
-#else
-        DispatchMode m = DispatchMode::Threaded;
-#endif
-#else
-        DispatchMode m = DispatchMode::Switch;
-#endif
-        if (const char *env = std::getenv("COMPDIFF_DISPATCH")) {
-            if (std::strcmp(env, "switch") == 0)
-                m = DispatchMode::Switch;
-#if COMPDIFF_VM_HAS_THREADED
-            else if (std::strcmp(env, "threaded") == 0)
-                m = DispatchMode::Threaded;
-#endif
-        }
-        return m;
-    }();
-    return mode;
+    return COMPDIFF_VM_HAS_THREADED ? DispatchMode::Threaded
+                                    : DispatchMode::Switch;
 }
 
 const char *

@@ -23,14 +23,13 @@
  * GNU computed-goto direct threading (default where the compiler
  * supports it) and a portable switch loop. Both are generated from
  * the same handler source (vm/interp.inc) and are byte-identical in
- * observable behavior; the CMake option COMPDIFF_DISPATCH and the
- * environment variable of the same name pick the default.
+ * observable behavior; Vm::setDispatchMode is the one override of
+ * the default.
  *
  * Thread safety: run() mutates the per-run arena, so one Vm serves
  * one in-flight run at a time. Distinct Vm instances may run
- * concurrently — the parallel ExecutionService dedicates one executor
- * (one Vm) per implementation slot, never sharing an instance across
- * tasks.
+ * concurrently — a parallel DiffEngine dedicates one executor (one
+ * Vm) per implementation, never sharing an instance across tasks.
  */
 
 #include <cstdint>
@@ -81,12 +80,8 @@ enum class DispatchMode
     Threaded,///< GNU computed-goto direct threading
 };
 
-/**
- * The build's default dispatch mode: Threaded where supported unless
- * the build was configured with COMPDIFF_DISPATCH=switch; either way
- * the COMPDIFF_DISPATCH environment variable ("switch"/"threaded",
- * read once) overrides.
- */
+/** Every Vm's initial dispatch mode: Threaded where the compiler
+ *  supports it (COMPDIFF_VM_HAS_THREADED), Switch otherwise. */
 DispatchMode defaultDispatchMode();
 
 const char *dispatchModeName(DispatchMode mode);

@@ -1,8 +1,8 @@
 /**
  * @file
  * Determinism tests for the parallel execution layer: the engine's
- * ExecutionService (DiffOptions::jobs), sharded fuzz campaigns, and
- * the content-addressed compile cache. The contract under test is
+ * thread pool (DiffOptions::jobs), sharded fuzz campaigns, and the
+ * content-addressed compile cache. The contract under test is
  * the strongest one: results must be bit-identical between jobs=1
  * and jobs=N — parallelism buys wall-clock only, never different
  * observations.
@@ -166,23 +166,27 @@ expectIdentical(const fuzz::FuzzStats &a, const fuzz::FuzzStats &b)
     EXPECT_EQ(a.lastDiffExec, b.lastDiffExec);
 }
 
-TEST(ShardedCampaign, BitIdenticalAcrossJobCounts)
+/**
+ * Run one campaign at jobs 1 and 4 and require identical results.
+ * `jobs` means what --jobs means: shard threads with several shards
+ * (planShards then pins the oracle to 1), the oracle's pool with one.
+ */
+void
+expectJobsInvariant(const minic::Program &program,
+                    fuzz::FuzzOptions options, std::size_t shards)
 {
-    auto program = minic::parseAndCheck(kUnstableTarget);
-    fuzz::FuzzOptions options;
-    options.maxExecs = 1'500;
     const std::vector<Bytes> seeds = {{'A'}, {'B', 'C'}};
-
-    auto serial = fuzz::runShardedCampaign(*program, seeds, options,
-                                           /*shards=*/3, /*jobs=*/1);
-    auto threaded = fuzz::runShardedCampaign(*program, seeds,
-                                             options, /*shards=*/3,
-                                             /*jobs=*/4);
+    options.jobs = 1;
+    auto serial = fuzz::runShardedCampaign(program, seeds, options,
+                                           shards, /*jobs=*/1);
+    options.jobs = 4;
+    auto threaded = fuzz::runShardedCampaign(program, seeds, options,
+                                             shards, /*jobs=*/4);
 
     expectIdentical(serial.total, threaded.total);
-    ASSERT_EQ(serial.perShard.size(), 3u);
-    ASSERT_EQ(threaded.perShard.size(), 3u);
-    for (std::size_t s = 0; s < 3; s++)
+    ASSERT_EQ(serial.perShard.size(), shards);
+    ASSERT_EQ(threaded.perShard.size(), shards);
+    for (std::size_t s = 0; s < shards; s++)
         expectIdentical(serial.perShard[s], threaded.perShard[s]);
     ASSERT_EQ(serial.diffs.size(), threaded.diffs.size());
     for (std::size_t i = 0; i < serial.diffs.size(); i++) {
@@ -194,6 +198,19 @@ TEST(ShardedCampaign, BitIdenticalAcrossJobCounts)
     // (execsPerSec stays 0 in the snapshot: exec-count time axis).
     EXPECT_EQ(obs::renderFuzzerStats(serial.statsSnapshot()),
               obs::renderFuzzerStats(threaded.statsSnapshot()));
+}
+
+TEST(ShardedCampaign, BitIdenticalAcrossJobCounts)
+{
+    auto program = minic::parseAndCheck(kUnstableTarget);
+    fuzz::FuzzOptions options;
+    options.maxExecs = 1'500;
+    expectJobsInvariant(*program, options, /*shards=*/3);
+    // NEZHA feedback flushes the oracle queue after every execution;
+    // at one shard, jobs is the oracle's pool width, so this campaign
+    // drives the pool one input at a time.
+    options.divergenceFeedback = true;
+    expectJobsInvariant(*program, options, /*shards=*/1);
 }
 
 TEST(ShardedCampaign, SingleShardReproducesPlainFuzzer)

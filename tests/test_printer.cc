@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include "compdiff/engine.hh"
+#include "compiler/cache.hh"
 #include "compiler/compiler.hh"
 #include "compiler/passes.hh"
 #include "minic/parser.hh"
 #include "minic/printer.hh"
+#include "reduce/oracle.hh"
+#include "targets/targets.hh"
 #include "vm/vm.hh"
 
 namespace
@@ -101,6 +104,68 @@ TEST(Printer, ReparseRoundTripPreservesBehavior)
     auto r2 = v2.run({});
     EXPECT_EQ(r1.output, r2.output);
     EXPECT_EQ(r1.exitClass(), r2.exitClass());
+}
+
+/** The bundled LINE bugs: a cur_line() call on a later line than its
+ *  statement, and an input that reaches it. */
+struct LineSite
+{
+    const char *target;
+    support::Bytes input;
+};
+
+const LineSite kLineSites[] = {
+    {"elfread", {69, 2, 7}},   // BUG(301)
+    {"pixmagick", {77, 1, 7}}, // BUG(800)
+    {"pixmagick", {77, 2, 7}}, // BUG(801)
+    {"netshark", {87, 5, 7}},  // BUG(203)
+    {"phplite", {60, 1, 7}},   // BUG(1200)
+    {"phplite", {60, 2, 7}},   // BUG(1201)
+};
+
+std::uint64_t
+signatureOn(const minic::Program &program, const support::Bytes &input)
+{
+    // Start from an empty cache so the engine compiles this very
+    // program instead of reusing another one's modules.
+    compiler::CompileCache::global().clear();
+    const core::DiffEngine engine(program);
+    const core::DiffResult result = engine.runInput(input, 1);
+    EXPECT_TRUE(result.divergent) << result.summary();
+    return reduce::divergenceSignature(result);
+}
+
+/** gcc reads cur_line() as its statement's line and clang as its own
+ *  line; a printed program must keep the two apart. */
+TEST(Printer, RoundTripKeepsLineDivergence)
+{
+    for (const auto &site : kLineSites) {
+        SCOPED_TRACE(site.target);
+        auto original =
+            parseAndCheck(targets::findTarget(site.target)->source);
+        const std::string text = printProgram(*original);
+        auto reparsed = parseAndCheck(text);
+        EXPECT_EQ(printProgram(*reparsed), text);
+        EXPECT_EQ(signatureOn(*reparsed, site.input),
+                  signatureOn(*original, site.input));
+    }
+}
+
+/** Lowering reads source lines, so a program and its printed form
+ *  are different compile inputs even where their text agrees. */
+TEST(Printer, ReparsedFormGetsItsOwnCompileCacheEntry)
+{
+    const compiler::CompilerConfig config{compiler::Vendor::Gcc,
+                                          compiler::OptLevel::O2};
+    for (const char *name :
+         {"elfread", "pixmagick", "netshark", "phplite"}) {
+        SCOPED_TRACE(name);
+        auto original = parseAndCheck(targets::findTarget(name)->source);
+        auto reparsed = parseAndCheck(printProgram(*original));
+        const auto first = compiler::compileCached(*original, config);
+        const auto second = compiler::compileCached(*reparsed, config);
+        EXPECT_NE(first, second);
+    }
 }
 
 /** The printer is the debugging lens for passes: the widened-mul
