@@ -62,8 +62,9 @@ smoke() {
     # bounded) and --reports-out bundles each one. Exit 1 = found
     # divergences, by design. netshark's LINE bug (BUG 203) only
     # replays if the filed program keeps its cur_line() call on a
-    # later line than the statement it belongs to.
-    for target in pktdump netshark; do
+    # later line than the statement it belongs to; floatpack's bundles
+    # only replay if every float literal prints back to its own bits.
+    for target in pktdump netshark floatpack; do
         reports="$tmp/reports-$target"
         "$cli" --quiet --target="$target" --fuzz=2000 --reduce=200 \
             --reports-out="$reports" > "$tmp/reduce.out" ||

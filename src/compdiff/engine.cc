@@ -244,7 +244,9 @@ DiffEngine::finishInput(DiffResult &result, const Bytes &input,
         // Raise the budget and try again (RQ6).
         result.unresolvedTimeout = true;
         budget *= options_.timeoutBudgetFactor;
-        obs::counter("compdiff.timeout_retries").add();
+        static obs::Counter &timeout_retries =
+            obs::counter("compdiff.timeout_retries");
+        timeout_retries.add();
         if (attempts_left-- <= 0)
             break;
         runRound({&input, 1}, {&nonce_base, 1}, {&result, 1}, budget);
@@ -272,16 +274,27 @@ DiffEngine::finishInput(DiffResult &result, const Bytes &input,
                        result.classCount > 1;
 
     if (obs::metricsEnabled()) {
-        obs::counter("compdiff.runs").add();
-        obs::counter("compdiff.impl_execs")
-            .add(static_cast<std::uint64_t>(result.attempts) *
-                 impls_.size());
-        if (result.divergent)
-            obs::counter("compdiff.divergent").add();
-        if (result.unresolvedTimeout)
-            obs::counter("compdiff.unresolved_timeouts").add();
-        obs::histogram("compdiff.classes_per_run")
-            .observe(result.classCount);
+        // Each handle is looked up where its metric is first bumped,
+        // so snapshots list only metrics that were.
+        static obs::Counter &runs = obs::counter("compdiff.runs");
+        static obs::Counter &impl_execs =
+            obs::counter("compdiff.impl_execs");
+        runs.add();
+        impl_execs.add(static_cast<std::uint64_t>(result.attempts) *
+                       impls_.size());
+        if (result.divergent) {
+            static obs::Counter &divergent =
+                obs::counter("compdiff.divergent");
+            divergent.add();
+        }
+        if (result.unresolvedTimeout) {
+            static obs::Counter &unresolved =
+                obs::counter("compdiff.unresolved_timeouts");
+            unresolved.add();
+        }
+        static obs::Histogram &classes_per_run =
+            obs::histogram("compdiff.classes_per_run");
+        classes_per_run.observe(result.classCount);
     }
 }
 

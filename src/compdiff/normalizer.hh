@@ -20,7 +20,8 @@ namespace compdiff::core
 {
 
 /**
- * A list of regex filters applied to program output before hashing.
+ * The filters applied to program output before hashing: the built-in
+ * timestamp filter (when enabled), then every added regex in order.
  */
 class OutputNormalizer
 {
@@ -31,7 +32,10 @@ class OutputNormalizer
     /**
      * The default filter set used by CompDiff-AFL++ in this repo:
      * strips `[ts:<digits>]` timestamps (the time_stamp() builtin's
-     * conventional rendering).
+     * conventional rendering). It runs on every observation, so it is
+     * a hand-written scan with the result of the regex
+     * `\[ts:[0-9]+\]` replaced by "", and it runs before any pattern
+     * added later.
      */
     static OutputNormalizer withDefaultFilters();
 
@@ -42,15 +46,13 @@ class OutputNormalizer
     /** Apply all filters in order. */
     std::string normalize(std::string output) const;
 
-    /** Number of installed filters. */
-    std::size_t patternCount() const { return patterns_.size(); }
-
   private:
     struct Filter
     {
         std::regex regex;
         std::string replacement;
     };
+    bool stripTimestamps_ = false;
     std::vector<Filter> patterns_;
 };
 

@@ -102,7 +102,9 @@ Fuzzer::executeOne(Bytes input, std::size_t depth)
                            stats_.execs,
                            static_cast<int>(depth) + 1});
         stats_.lastFindExec = stats_.execs;
-        obs::counter("fuzz.corpus_adds").add();
+        static obs::Counter &corpus_adds =
+            obs::counter("fuzz.corpus_adds");
+        corpus_adds.add();
     }
 
     // --- the sancheck part (flipped oracle, DESIGN.md §14) ---

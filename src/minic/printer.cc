@@ -1,5 +1,8 @@
 #include "minic/printer.hh"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <sstream>
 
@@ -30,6 +33,34 @@ escape(const std::string &raw)
         }
     }
     return out;
+}
+
+/**
+ * A float literal that the lexer reads back as the same double: the
+ * shortest round-trip digits, with a '.' in the mantissa (`1` would
+ * lex as an int and `1e+06` as `1` then `e`). A negative value (only
+ * passes create one) prints as a parenthesized negation, an atom
+ * wherever the literal stood. The lexer has no spelling for the
+ * non-finite values, so +inf is `1.0e999` (strtod rounds it to inf)
+ * and NaN is `(0.0 / 0.0)`, which prints the same again after a
+ * reparse.
+ */
+std::string
+floatLiteral(double value)
+{
+    if (std::isnan(value))
+        return "(0.0 / 0.0)";
+    if (std::signbit(value))
+        return "(-" + floatLiteral(-value) + ")";
+    if (std::isinf(value))
+        return "1.0e999";
+    char buf[32];
+    const auto end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+    std::string digits(buf, end);
+    const std::size_t exp = std::min(digits.find('e'), digits.size());
+    if (digits.find('.') == std::string::npos)
+        digits.insert(exp, ".0");
+    return digits;
 }
 
 /**
@@ -96,8 +127,8 @@ printExprAt(const Expr &expr, LineCursor *cursor)
         return os.str();
       }
       case ExprKind::FloatLit:
-        os << static_cast<const FloatLitExpr &>(expr).value;
-        return os.str();
+        return floatLiteral(
+            static_cast<const FloatLitExpr &>(expr).value);
       case ExprKind::StrLit:
         return "\"" +
                escape(static_cast<const StrLitExpr &>(expr).bytes) +

@@ -12,6 +12,7 @@
 #include "sanitizers/sanitizers.hh"
 #include "semdiff/canon.hh"
 #include "semdiff/slice.hh"
+#include "support/diagnostics.hh"
 #include "support/logging.hh"
 #include "support/thread_pool.hh"
 
@@ -71,9 +72,16 @@ reduceOne(const minic::Program &program,
     // A shrunken program usually reads less input, so one more input
     // pass against the minimized program drops bytes only the
     // original program consumed.
-    auto minimized = minic::parseAndCheck(report.program);
+    // reduceProgram keeps a program whose printed form does not parse
+    // unreduced; the original AST then stands in for it.
+    std::unique_ptr<minic::Program> reparsed;
+    try {
+        reparsed = minic::parseAndCheck(report.program);
+    } catch (const support::CompileError &) {
+    }
+    const minic::Program &minimized = reparsed ? *reparsed : program;
     const InputReduction second =
-        reduceInput(oracle, *minimized, report.input);
+        reduceInput(oracle, minimized, report.input);
     report.input = second.reduced;
     report.inputStats.reduced = second.reduced;
     report.inputStats.candidatesTried += second.candidatesTried;
@@ -87,13 +95,13 @@ reduceOne(const minic::Program &program,
     // was found.
     core::DiffOptions diff_options = options.diffOptions;
     diff_options.jobs = 1;
-    core::DiffEngine engine(*minimized, impls, diff_options);
+    core::DiffEngine engine(minimized, impls, diff_options);
     report.diff = engine.runInput(report.input, 0);
     report.localization = core::localizeAcross(
-        *minimized, impls, report.diff, report.input,
+        minimized, impls, report.diff, report.input,
         options.diffOptions.limits);
     report.slice = semdiff::sliceDivergence(
-        *minimized, impls, report.localization,
+        minimized, impls, report.localization,
         options.diffOptions);
 
     // Second-tier key: the canonical form of the minimized program
@@ -108,7 +116,7 @@ reduceOne(const minic::Program &program,
         divergenceSignature(report.diff));
 
     if (options.checkSanitizers) {
-        sanitizers::SanitizerRunner runner(*minimized,
+        sanitizers::SanitizerRunner runner(minimized,
                                            options.diffOptions.limits);
         report.sanitizers.checked = true;
         report.sanitizers.asanFires =

@@ -446,14 +446,24 @@ reduceProgram(Oracle &oracle, const std::string &source,
     const std::uint64_t accepted_before = oracle.stats().accepted;
 
     {
-        auto program = parseAndCheck(source);
-        const NodeCounts counts = countProgram(*program);
-        out.stmtsBefore = counts.stmts;
-        out.nodesBefore = counts.nodes;
-        // Canonicalize immediately: every later candidate is a
-        // printProgram rendering, so diffs against the current best
-        // stay purely structural.
-        out.source = printProgram(*program);
+        auto program = tryFrontend(source);
+        if (program) {
+            const NodeCounts counts = countProgram(*program);
+            out.stmtsBefore = counts.stmts;
+            out.nodesBefore = counts.nodes;
+            // Canonicalize immediately: every later candidate is a
+            // printProgram rendering, so diffs against the current
+            // best stay purely structural.
+            out.source = printProgram(*program);
+        }
+        if (!program || !tryFrontend(out.source)) {
+            // Candidates are printed programs; if the printed start
+            // does not parse, none would. Keep the program unreduced.
+            out.source = source;
+            out.stmtsAfter = out.stmtsBefore;
+            out.nodesAfter = out.nodesBefore;
+            return out;
+        }
     }
 
     bool progressed = true;

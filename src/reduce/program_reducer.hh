@@ -67,7 +67,9 @@ struct ProgramReduction
  * Reduce `source` against the fixed `input` (typically the already
  * ddmin-reduced witness), preserving the oracle's target signature.
  *
- * @param source A program that parseAndCheck accepts.
+ * @param source A program that parseAndCheck accepts. If it does not,
+ *               or its printed form does not parse again, the result
+ *               keeps `source` unreduced.
  */
 ProgramReduction reduceProgram(Oracle &oracle,
                                const std::string &source,

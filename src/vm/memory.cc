@@ -99,71 +99,6 @@ AddressSpace::resetForRun()
     resetSegment(heap_, heapFill_);
 }
 
-Segment *
-AddressSpace::find(std::uint64_t addr, std::uint64_t size)
-{
-    for (Segment *seg : {&rodata_, &globals_, &stack_, &heap_})
-        if (seg->contains(addr, size))
-            return seg;
-    return nullptr;
-}
-
-Access
-AddressSpace::read(std::uint64_t addr, std::uint64_t size,
-                   std::uint64_t &value, bool &poisoned)
-{
-    Segment *seg = find(addr, size);
-    if (!seg)
-        return Access::Unmapped;
-    const std::uint64_t off = addr - seg->base;
-
-    if (asan_ && !seg->valid.empty()) {
-        for (std::uint64_t i = 0; i < size; i++)
-            if (!seg->valid[off + i])
-                return Access::AsanInvalid;
-    }
-
-    poisoned = false;
-    if (msan_ && !seg->poison.empty()) {
-        for (std::uint64_t i = 0; i < size; i++)
-            if (seg->poison[off + i])
-                poisoned = true;
-    }
-
-    std::uint64_t v = 0;
-    std::memcpy(&v, seg->data.data() + off,
-                static_cast<std::size_t>(size));
-    value = v;
-    return Access::Ok;
-}
-
-Access
-AddressSpace::write(std::uint64_t addr, std::uint64_t size,
-                    std::uint64_t value, bool poisoned)
-{
-    Segment *seg = find(addr, size);
-    if (!seg)
-        return Access::Unmapped;
-    if (seg->readOnly)
-        return Access::ReadOnlyWrite;
-    const std::uint64_t off = addr - seg->base;
-
-    if (asan_ && !seg->valid.empty()) {
-        for (std::uint64_t i = 0; i < size; i++)
-            if (!seg->valid[off + i])
-                return Access::AsanInvalid;
-    }
-
-    std::memcpy(seg->data.data() + off, &value,
-                static_cast<std::size_t>(size));
-    seg->markDirty(off, size);
-    if (msan_ && !seg->poison.empty()) {
-        for (std::uint64_t i = 0; i < size; i++)
-            seg->poison[off + i] = poisoned ? 1 : 0;
-    }
-    return Access::Ok;
-}
-
 bool
 AddressSpace::readByteRaw(std::uint64_t addr, std::uint8_t &byte)
 {

@@ -17,6 +17,7 @@
  */
 
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <map>
 #include <vector>
@@ -139,11 +140,17 @@ class AddressSpace
     Segment &stack() { return stack_; }
     Segment &heap() { return heap_; }
 
-    /** Find the segment containing [addr, addr+size); or nullptr. */
+    /**
+     * Find the segment containing [addr, addr+size); or nullptr.
+     * Segments are tried in the order rodata, globals, stack, heap:
+     * bases are traits and VmLimits size the stack and heap, so two
+     * segments can overlap, and then the first in that order wins.
+     */
     Segment *find(std::uint64_t addr, std::uint64_t size);
 
     /**
-     * Checked read of a little-endian value (size 1/4/8).
+     * Checked read of a little-endian value (size 1/4/8; any other
+     * size up to 8 takes a generic copy).
      *
      * @param poisoned Set when MSan shadows any byte as uninit.
      */
@@ -179,6 +186,112 @@ class AddressSpace
     std::uint8_t stackFill_;
     std::uint8_t heapFill_;
 };
+
+// find/read/write run on every guest load and store, so they are
+// inline, and the copy is specialized for the three access sizes the
+// interpreter issues.
+
+inline Segment *
+AddressSpace::find(std::uint64_t addr, std::uint64_t size)
+{
+    if (rodata_.contains(addr, size))
+        return &rodata_;
+    if (globals_.contains(addr, size))
+        return &globals_;
+    if (stack_.contains(addr, size))
+        return &stack_;
+    if (heap_.contains(addr, size))
+        return &heap_;
+    return nullptr;
+}
+
+inline Access
+AddressSpace::read(std::uint64_t addr, std::uint64_t size,
+                   std::uint64_t &value, bool &poisoned)
+{
+    Segment *seg = find(addr, size);
+    if (!seg)
+        return Access::Unmapped;
+    const std::uint64_t off = addr - seg->base;
+
+    if (asan_ && !seg->valid.empty()) {
+        for (std::uint64_t i = 0; i < size; i++)
+            if (!seg->valid[off + i])
+                return Access::AsanInvalid;
+    }
+
+    poisoned = false;
+    if (msan_ && !seg->poison.empty()) {
+        for (std::uint64_t i = 0; i < size; i++)
+            if (seg->poison[off + i])
+                poisoned = true;
+    }
+
+    const std::uint8_t *src = seg->data.data() + off;
+    switch (size) {
+      case 1:
+        value = *src;
+        break;
+      case 4: {
+        std::uint32_t v;
+        std::memcpy(&v, src, 4);
+        value = v;
+        break;
+      }
+      case 8:
+        std::memcpy(&value, src, 8);
+        break;
+      default: {
+        std::uint64_t v = 0;
+        std::memcpy(&v, src, static_cast<std::size_t>(size));
+        value = v;
+        break;
+      }
+    }
+    return Access::Ok;
+}
+
+inline Access
+AddressSpace::write(std::uint64_t addr, std::uint64_t size,
+                    std::uint64_t value, bool poisoned)
+{
+    Segment *seg = find(addr, size);
+    if (!seg)
+        return Access::Unmapped;
+    if (seg->readOnly)
+        return Access::ReadOnlyWrite;
+    const std::uint64_t off = addr - seg->base;
+
+    if (asan_ && !seg->valid.empty()) {
+        for (std::uint64_t i = 0; i < size; i++)
+            if (!seg->valid[off + i])
+                return Access::AsanInvalid;
+    }
+
+    std::uint8_t *dst = seg->data.data() + off;
+    switch (size) {
+      case 1:
+        *dst = static_cast<std::uint8_t>(value);
+        break;
+      case 4: {
+        const auto v = static_cast<std::uint32_t>(value);
+        std::memcpy(dst, &v, 4);
+        break;
+      }
+      case 8:
+        std::memcpy(dst, &value, 8);
+        break;
+      default:
+        std::memcpy(dst, &value, static_cast<std::size_t>(size));
+        break;
+    }
+    seg->markDirty(off, size);
+    if (msan_ && !seg->poison.empty()) {
+        for (std::uint64_t i = 0; i < size; i++)
+            seg->poison[off + i] = poisoned ? 1 : 0;
+    }
+    return Access::Ok;
+}
 
 /**
  * The heap allocator, with per-configuration policy: fill pattern of

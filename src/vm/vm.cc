@@ -107,6 +107,8 @@ struct Vm::RunState
     std::vector<Slot> stack;
     /** Argument scratch for Call/CallB. */
     std::vector<Slot> args;
+    /** The `vm.instructions.<config>` handle, looked up on first use. */
+    obs::Counter *configInstructions = nullptr;
 };
 
 Vm::Vm(const Module &module, const CompilerConfig &config,
@@ -186,6 +188,14 @@ Vm::run(const Bytes &input, CoverageMap *coverage, std::uint64_t nonce,
 // The interpreter body lives in interp.inc and is instantiated once
 // per dispatch mode; see the header comment there.
 
+// Forces a helper lambda into its call sites: inside the large
+// interpreter body GCC would otherwise keep some of them out of line.
+#if defined(__GNUC__) || defined(__clang__)
+#define VM_ALWAYS_INLINE __attribute__((always_inline))
+#else
+#define VM_ALWAYS_INLINE
+#endif
+
 #define VM_IMPL_NAME runSwitch
 #define VM_USE_THREADED 0
 #include "vm/interp.inc"
@@ -199,5 +209,7 @@ Vm::run(const Bytes &input, CoverageMap *coverage, std::uint64_t nonce,
 #undef VM_IMPL_NAME
 #undef VM_USE_THREADED
 #endif
+
+#undef VM_ALWAYS_INLINE
 
 } // namespace compdiff::vm

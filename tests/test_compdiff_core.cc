@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <regex>
+
 #include "compdiff/engine.hh"
 #include "compdiff/normalizer.hh"
 #include "compdiff/subset.hh"
@@ -83,6 +86,44 @@ TEST(Normalizer, PointerTokensAtLineBoundaries)
               "<ptr> <ptr>\n<ptr>");
     // Not a pointer: no hex digits after the prefix.
     EXPECT_EQ(normalizer.normalize("0x"), "0x");
+}
+
+/** The built-in timestamp filter leaves exactly the text that
+ *  std::regex_replace with its pattern leaves, on strings dense in
+ *  near-miss stamps. */
+TEST(Normalizer, DefaultFilterMatchesRegex)
+{
+    const std::regex stamp(R"(\[ts:[0-9]+\])");
+    const auto normalizer = OutputNormalizer::withDefaultFilters();
+    const std::string alphabet("[ts:]0123456789\0\r\nx", 19);
+    const char *const chunks[] = {"[ts:", "[ts", "]", "[", "12", "7"};
+    std::mt19937_64 rng(11);
+    for (int i = 0; i < 20000; i++) {
+        std::string text;
+        const std::size_t pieces = rng() % 24;
+        for (std::size_t p = 0; p < pieces; p++) {
+            if (rng() % 2)
+                text += alphabet[rng() % alphabet.size()];
+            else
+                text += chunks[rng() % std::size(chunks)];
+        }
+        ASSERT_EQ(normalizer.normalize(text),
+                  std::regex_replace(text, stamp, ""))
+            << "input #" << i;
+    }
+}
+
+/** Timestamps are stripped before any added pattern runs. */
+TEST(Normalizer, TimestampFilterRunsBeforeAddedPatterns)
+{
+    auto normalizer = OutputNormalizer::withDefaultFilters();
+    // Run after the strip, this pattern finds no stamp left to cut.
+    normalizer.addPattern(R"(\[ts:[0-9]+)", "<partial>");
+    EXPECT_EQ(normalizer.normalize("a [ts:12] b"), "a  b");
+    // A stamp that an added pattern completes is not stripped.
+    auto completing = OutputNormalizer::withDefaultFilters();
+    completing.addPattern("x");
+    EXPECT_EQ(completing.normalize("[ts:1x2]"), "[ts:12]");
 }
 
 TEST(DiffEngine, DetectsListing1)

@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 #include "compdiff/engine.hh"
 #include "compiler/cache.hh"
 #include "compiler/compiler.hh"
@@ -106,21 +111,24 @@ TEST(Printer, ReparseRoundTripPreservesBehavior)
     EXPECT_EQ(r1.exitClass(), r2.exitClass());
 }
 
-/** The bundled LINE bugs: a cur_line() call on a later line than its
- *  statement, and an input that reaches it. */
-struct LineSite
+/** Bundled bugs that a lossy printer hid, and an input that reaches
+ *  each: the LINE bugs (a cur_line() call on a later line than its
+ *  statement) and floatpack's float bugs (literals such as
+ *  1000000.0 must print back to the same bits). */
+struct RoundTripSite
 {
     const char *target;
     support::Bytes input;
 };
 
-const LineSite kLineSites[] = {
-    {"elfread", {69, 2, 7}},   // BUG(301)
-    {"pixmagick", {77, 1, 7}}, // BUG(800)
-    {"pixmagick", {77, 2, 7}}, // BUG(801)
-    {"netshark", {87, 5, 7}},  // BUG(203)
-    {"phplite", {60, 1, 7}},   // BUG(1200)
-    {"phplite", {60, 2, 7}},   // BUG(1201)
+const RoundTripSite kRoundTripSites[] = {
+    {"elfread", {69, 2, 7}},          // BUG(301)
+    {"pixmagick", {77, 1, 7}},        // BUG(800)
+    {"pixmagick", {77, 2, 7}},        // BUG(801)
+    {"netshark", {87, 5, 7}},         // BUG(203)
+    {"phplite", {60, 1, 7}},          // BUG(1200)
+    {"phplite", {60, 2, 7}},          // BUG(1201)
+    {"floatpack", {70, 1, 9, 2, 33}}, // BUG(1000), BUG(1001)
 };
 
 std::uint64_t
@@ -135,11 +143,13 @@ signatureOn(const minic::Program &program, const support::Bytes &input)
     return reduce::divergenceSignature(result);
 }
 
-/** gcc reads cur_line() as its statement's line and clang as its own
- *  line; a printed program must keep the two apart. */
+/** A printed program diverges as its original does: gcc reads
+ *  cur_line() as its statement's line and clang as its own line, so
+ *  the printer must keep the two apart, and float literals must keep
+ *  their bits. */
 TEST(Printer, RoundTripKeepsLineDivergence)
 {
-    for (const auto &site : kLineSites) {
+    for (const auto &site : kRoundTripSites) {
         SCOPED_TRACE(site.target);
         auto original =
             parseAndCheck(targets::findTarget(site.target)->source);
@@ -166,6 +176,108 @@ TEST(Printer, ReparsedFormGetsItsOwnCompileCacheEntry)
         const auto second = compiler::compileCached(*reparsed, config);
         EXPECT_NE(first, second);
     }
+}
+
+std::uint64_t
+bitsOf(double value)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &value, sizeof(bits));
+    return bits;
+}
+
+/** The value of a program's first global initializer, which must be
+ *  a float literal; NaN (and a failure) otherwise. */
+double
+globalFloat(const minic::Program &program)
+{
+    const minic::Expr &init = *program.globals.at(0)->init;
+    if (init.kind() != minic::ExprKind::FloatLit) {
+        ADD_FAILURE() << "initializer is not a float literal";
+        return std::nan("");
+    }
+    return static_cast<const minic::FloatLitExpr &>(init).value;
+}
+
+/** print∘parse is a fixpoint on float literals and keeps their bits:
+ *  no 6-digit rounding, no int spelling, no `1e+06` that lexes as `1`
+ *  then `e`. */
+TEST(Printer, FloatLiteralsRoundTripBitExact)
+{
+    const struct
+    {
+        const char *spelling;
+        double value;
+    } cases[] = {
+        {"0.1", 0.1},
+        {"1.0", 1.0},
+        {"1000000.0", 1e6},
+        {"0.0000001", 1e-7},
+        {"1.0000001", 1.0000001},
+        {"17.995395601019521", 17.995395601019521},
+        {"1.7976931348623157e308", DBL_MAX},
+        {"4.9406564584124654e-324", 5e-324},
+        {"1.0e999", std::numeric_limits<double>::infinity()},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.spelling);
+        auto original = parseAndCheck(std::string("double g = ") +
+                                      c.spelling +
+                                      ";\nint main() { return 0; }\n");
+        ASSERT_EQ(bitsOf(globalFloat(*original)), bitsOf(c.value));
+        const std::string text = printProgram(*original);
+        auto reparsed = parseAndCheck(text);
+        EXPECT_EQ(printProgram(*reparsed), text);
+        EXPECT_EQ(bitsOf(globalFloat(*reparsed)), bitsOf(c.value));
+    }
+}
+
+/** Literals only passes create (negative, non-finite) print as
+ *  expressions that parse and evaluate to the same value. */
+TEST(Printer, FoldedFloatLiteralsPrintAsExpressions)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const struct
+    {
+        double value;
+        const char *text;
+        const char *output; ///< print_f's rendering; null for NaN
+    } cases[] = {
+        {-2.5, "(-2.5)", "-2.5"},
+        {-0.0, "(-0.0)", "-0"},
+        {-inf, "(-1.0e999)", "-inf"},
+        {1e6, "1.0e+06", "1000000"},
+        {std::nan(""), "(0.0 / 0.0)", nullptr},
+    };
+    const compiler::CompilerConfig config{compiler::Vendor::Gcc,
+                                          compiler::OptLevel::O0};
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.text);
+        const minic::FloatLitExpr lit({}, c.value);
+        EXPECT_EQ(minic::printExpr(lit), c.text);
+        auto program = parseAndCheck(std::string("int main() { print_f(") +
+                                     c.text + "); return 0; }");
+        if (!c.output)
+            continue;
+        compiler::Compiler compiler(*program);
+        const auto module = compiler.compile(config);
+        vm::Vm machine(module, config);
+        EXPECT_EQ(machine.run({}).output, c.output);
+    }
+}
+
+/** The compile cache keys on the printed text, so literals that agree
+ *  to 6 digits must still print apart. */
+TEST(Printer, NearbyFloatLiteralsGetTheirOwnCompileCacheEntries)
+{
+    const compiler::CompilerConfig config{compiler::Vendor::Gcc,
+                                          compiler::OptLevel::O2};
+    auto first =
+        parseAndCheck("int main() { print_f(1.0000001); return 0; }");
+    auto second =
+        parseAndCheck("int main() { print_f(1.0000002); return 0; }");
+    EXPECT_NE(compiler::compileCached(*first, config),
+              compiler::compileCached(*second, config));
 }
 
 /** The printer is the debugging lens for passes: the widened-mul

@@ -226,6 +226,21 @@ TEST(ReduceProgram, ShrinksRemPow2RegressionToThreeStatements)
     EXPECT_EQ(again.stmtsAfter, reduction.stmtsAfter);
 }
 
+/** Candidates are printed programs, so a source the frontend rejects
+ *  is filed unreduced rather than ending the process. */
+TEST(ReduceProgram, KeepsUnparsableSourceUnreduced)
+{
+    auto program = minic::parseAndCheck(kRemPow2Source);
+    reduce::SignatureOracle oracle(*program, gccVsRef(), {9},
+                                   remPow2Options(), 4096);
+    const std::string broken = "int main() { return 1e+06; }";
+    reduce::ProgramReduction reduction;
+    ASSERT_NO_THROW(reduction =
+                        reduce::reduceProgram(oracle, broken, {9}));
+    EXPECT_EQ(reduction.source, broken);
+    EXPECT_EQ(reduction.candidatesTried, 0u);
+}
+
 TEST(ReducePipeline, JobsNeverChangeResults)
 {
     auto program = minic::parseAndCheck(kRemPow2Source);

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <random>
+
 #include "compiler/config.hh"
 #include "vm/coverage.hh"
 #include "vm/memory.hh"
@@ -140,6 +143,231 @@ TEST(AddressSpaceTest, MsanPoisonTracksWrites)
     ASSERT_EQ(space.write(addr, 8, 5, true), Access::Ok);
     ASSERT_EQ(space.read(addr, 8, value, poisoned), Access::Ok);
     EXPECT_TRUE(poisoned);
+}
+
+// --------- inline access path vs. the out-of-line original ---------
+
+/**
+ * The access path as it was before find/read/write moved inline:
+ * a loop over the four segments and a copy of run-time size. It runs
+ * on copies of a real AddressSpace's segments and is the oracle for
+ * the size-specialized inline path.
+ */
+struct ReferenceSpace
+{
+    vm::Segment rodata, globals, stack, heap;
+    bool asan = false;
+    bool msan = false;
+
+    vm::Segment *
+    find(std::uint64_t addr, std::uint64_t size)
+    {
+        for (vm::Segment *seg : {&rodata, &globals, &stack, &heap})
+            if (seg->contains(addr, size))
+                return seg;
+        return nullptr;
+    }
+
+    Access
+    read(std::uint64_t addr, std::uint64_t size, std::uint64_t &value,
+         bool &poisoned)
+    {
+        vm::Segment *seg = find(addr, size);
+        if (!seg)
+            return Access::Unmapped;
+        const std::uint64_t off = addr - seg->base;
+        if (asan && !seg->valid.empty()) {
+            for (std::uint64_t i = 0; i < size; i++)
+                if (!seg->valid[off + i])
+                    return Access::AsanInvalid;
+        }
+        poisoned = false;
+        if (msan && !seg->poison.empty()) {
+            for (std::uint64_t i = 0; i < size; i++)
+                if (seg->poison[off + i])
+                    poisoned = true;
+        }
+        std::uint64_t v = 0;
+        std::memcpy(&v, seg->data.data() + off,
+                    static_cast<std::size_t>(size));
+        value = v;
+        return Access::Ok;
+    }
+
+    Access
+    write(std::uint64_t addr, std::uint64_t size, std::uint64_t value,
+          bool poisoned)
+    {
+        vm::Segment *seg = find(addr, size);
+        if (!seg)
+            return Access::Unmapped;
+        if (seg->readOnly)
+            return Access::ReadOnlyWrite;
+        const std::uint64_t off = addr - seg->base;
+        if (asan && !seg->valid.empty()) {
+            for (std::uint64_t i = 0; i < size; i++)
+                if (!seg->valid[off + i])
+                    return Access::AsanInvalid;
+        }
+        std::memcpy(seg->data.data() + off, &value,
+                    static_cast<std::size_t>(size));
+        seg->markDirty(off, size);
+        if (msan && !seg->poison.empty()) {
+            for (std::uint64_t i = 0; i < size; i++)
+                seg->poison[off + i] = poisoned ? 1 : 0;
+        }
+        return Access::Ok;
+    }
+};
+
+void
+expectSameSegment(const vm::Segment &got, const vm::Segment &want)
+{
+    EXPECT_EQ(got.data, want.data);
+    EXPECT_EQ(got.valid, want.valid);
+    EXPECT_EQ(got.poison, want.poison);
+    EXPECT_EQ(got.dirtyLo, want.dirtyLo);
+    EXPECT_EQ(got.dirtyHi, want.dirtyHi);
+}
+
+/** An address aimed at a segment edge, a gap or a wrap-around. */
+std::uint64_t
+pickAddress(std::mt19937_64 &rng, const std::vector<vm::Segment *> &segs)
+{
+    const vm::Segment &seg = *segs[rng() % segs.size()];
+    const std::uint64_t size = seg.data.size();
+    switch (rng() % 6) {
+      case 0: // inside
+        return seg.base + rng() % size;
+      case 1: // at or straddling the end
+        return seg.base + size - 1 - rng() % 8;
+      case 2: // straddling or just below the start
+        return seg.base - 1 - rng() % 8;
+      case 3: // just past the end, in the gap above
+        return seg.base + size + rng() % 64;
+      case 4: // near the top of the address space (addr + size wraps)
+        return ~std::uint64_t{0} - rng() % 8;
+      default: // anywhere
+        return rng() & 0x0fffffffull;
+    }
+}
+
+/**
+ * Drive the same random reads and writes through `space` and through
+ * the reference on a copy of its segments; every result, value,
+ * poison flag, segment byte and dirty range must agree.
+ */
+void
+checkAgainstReference(AddressSpace &space, bool asan, bool msan,
+                      std::uint64_t seed, int ops)
+{
+    std::mt19937_64 rng(seed);
+    // Random shadows, so ASan and MSan verdicts vary per byte.
+    for (vm::Segment *seg :
+         {&space.globals(), &space.stack(), &space.heap()}) {
+        for (int i = 0; i < 64; i++) {
+            const std::uint64_t len = 1 + rng() % 32;
+            const std::uint64_t addr =
+                seg->base + rng() % (seg->data.size() - len);
+            space.setValid(addr, len, rng() % 4 != 0);
+            space.setPoison(addr, len, rng() % 2 == 0);
+        }
+    }
+    ReferenceSpace ref{space.rodata(), space.globals(), space.stack(),
+                       space.heap(), asan, msan};
+    const std::vector<vm::Segment *> segs = {
+        &space.rodata(), &space.globals(), &space.stack(),
+        &space.heap()};
+    const std::uint64_t sizes[] = {1, 4, 8, 1, 4, 8, 2, 3};
+
+    for (int op = 0; op < ops; op++) {
+        const std::uint64_t addr = pickAddress(rng, segs);
+        const std::uint64_t size = sizes[rng() % 8];
+        SCOPED_TRACE(testing::Message()
+                     << "op " << op << " addr 0x" << std::hex << addr
+                     << std::dec << " size " << size);
+        if (rng() % 2) {
+            std::uint64_t got = 0xfeedull, want = 0xfeedull;
+            bool got_poison = true, want_poison = true;
+            ASSERT_EQ(space.read(addr, size, got, got_poison),
+                      ref.read(addr, size, want, want_poison));
+            ASSERT_EQ(got, want);
+            ASSERT_EQ(got_poison, want_poison);
+        } else {
+            const std::uint64_t value = rng();
+            const bool poison = rng() % 2;
+            ASSERT_EQ(space.write(addr, size, value, poison),
+                      ref.write(addr, size, value, poison));
+        }
+        if (op % 64 == 0 || op + 1 == ops) {
+            expectSameSegment(space.rodata(), ref.rodata);
+            expectSameSegment(space.globals(), ref.globals);
+            expectSameSegment(space.stack(), ref.stack);
+            expectSameSegment(space.heap(), ref.heap);
+            if (testing::Test::HasFailure())
+                return;
+        }
+    }
+}
+
+AddressSpace
+smallSpace(const Traits &traits, bool asan, bool msan)
+{
+    AddressSpace space(traits, asan, msan, 1 << 10, 1 << 10);
+    std::vector<std::uint8_t> image(48);
+    for (std::size_t i = 0; i < image.size(); i++)
+        image[i] = static_cast<std::uint8_t>(i * 37 + 1);
+    space.setRodata(image);
+    space.setGlobalsSize(200);
+    return space;
+}
+
+TEST(AddressSpaceTest, InlineAccessMatchesReference)
+{
+    std::uint64_t seed = 1;
+    for (const Traits &traits : {gccTraits(), clangTraits()}) {
+        for (const bool asan : {false, true}) {
+            for (const bool msan : {false, true}) {
+                SCOPED_TRACE(testing::Message()
+                             << "asan " << asan << " msan " << msan);
+                AddressSpace space = smallSpace(traits, asan, msan);
+                checkAgainstReference(space, asan, msan, seed++,
+                                      15000);
+            }
+        }
+    }
+}
+
+/** A heap placed inside the stack (a traits tweak): addresses in the
+ *  overlap resolve to the stack, which is scanned first. */
+TEST(AddressSpaceTest, OverlappingSegmentsResolveInScanOrder)
+{
+    Traits traits = gccTraits();
+    traits.heapBase = traits.stackBase - 512;
+    for (const bool asan : {false, true}) {
+        for (const bool msan : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << "asan " << asan << " msan " << msan);
+            AddressSpace space = smallSpace(traits, asan, msan);
+            const std::uint64_t addr = traits.heapBase + 8;
+            EXPECT_EQ(space.find(addr, 8), &space.stack());
+            // Straddling the stack's top: only the heap holds it.
+            EXPECT_EQ(space.find(traits.stackBase - 4, 8),
+                      &space.heap());
+            if (!asan) {
+                ASSERT_EQ(space.write(addr, 8, 0x0102030405060708ull,
+                                      false),
+                          Access::Ok);
+                EXPECT_EQ(space.stack().data[addr -
+                                             space.stack().base],
+                          0x08);
+                EXPECT_EQ(space.heap().data[8], traits.heapFill);
+            }
+            checkAgainstReference(space, asan, msan, 100 + asan * 2 +
+                                                          msan,
+                                  15000);
+        }
+    }
 }
 
 // ---------------- heap ----------------
@@ -308,6 +536,85 @@ TEST(CoverageTest, VirginMapDetectsNovelty)
     }
     EXPECT_TRUE(virgin.mergeAndCheckNew(map));
     EXPECT_GE(virgin.edgesSeen(), 2u);
+}
+
+/** The merge as it was before zero words were skipped: every byte
+ *  of the trace map is classified. */
+struct ReferenceVirgin
+{
+    std::vector<std::uint8_t> virgin =
+        std::vector<std::uint8_t>(vm::kCoverageMapSize, 0);
+    std::size_t edges = 0;
+
+    bool
+    mergeAndCheckNew(const vm::CoverageMap &map)
+    {
+        bool is_new = false;
+        for (std::size_t i = 0; i < vm::kCoverageMapSize; i++) {
+            const std::uint8_t bucket = vm::coverageBucket(map.data()[i]);
+            if (bucket & ~virgin[i]) {
+                if (virgin[i] == 0)
+                    edges++;
+                virgin[i] |= bucket;
+                is_new = true;
+            }
+        }
+        return is_new;
+    }
+};
+
+/** Sets trace-map cells through hitBlock: the block id that, after
+ *  the previous block, lands on the wanted cell. */
+struct CellWriter
+{
+    vm::CoverageMap &map;
+    std::uint16_t prev = 0;
+
+    void
+    hit(std::size_t cell, int times)
+    {
+        for (int t = 0; t < times; t++) {
+            const auto block =
+                static_cast<std::uint16_t>(cell ^ prev);
+            map.hitBlock(block);
+            prev = static_cast<std::uint16_t>(block >> 1);
+        }
+    }
+};
+
+TEST(CoverageTest, WordSkippingMergeMatchesReference)
+{
+    std::mt19937_64 rng(7);
+    vm::VirginMap virgin;
+    ReferenceVirgin ref;
+    vm::CoverageMap map;
+    for (int round = 0; round < 300; round++) {
+        SCOPED_TRACE(testing::Message() << "round " << round);
+        map.reset();
+        CellWriter writer{map};
+        // Sparse maps mostly; every tenth is dense. The first and
+        // last byte and the last word get hits of their own.
+        const int cells = round % 10 == 9 ? 20000 : 1 + rng() % 40;
+        for (int c = 0; c < cells; c++) {
+            const int times = 1 + static_cast<int>(rng() % 5 == 0
+                                                       ? rng() % 200
+                                                       : rng() % 3);
+            writer.hit(rng() % vm::kCoverageMapSize, times);
+        }
+        if (round % 7 == 0)
+            writer.hit(0, 1 + static_cast<int>(rng() % 130));
+        if (round % 11 == 0)
+            writer.hit(vm::kCoverageMapSize - 1,
+                       1 + static_cast<int>(rng() % 130));
+        if (round % 13 == 0)
+            writer.hit(vm::kCoverageMapSize - 8 + rng() % 8, 1);
+        // The hits that reached each cell are what both merges see.
+        ASSERT_EQ(virgin.mergeAndCheckNew(map),
+                  ref.mergeAndCheckNew(map));
+        ASSERT_EQ(virgin.edgesSeen(), ref.edges);
+        ASSERT_EQ(virgin.snapshotBytes(), ref.virgin);
+    }
+    EXPECT_GT(virgin.edgesSeen(), 0u);
 }
 
 TEST(CoverageTest, BucketBoundaries)
