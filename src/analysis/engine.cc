@@ -136,6 +136,19 @@ join(const AbsVal &a, const AbsVal &b)
     return out;
 }
 
+/**
+ * Is a + b > c, exactly? An int64_t sum that overflows lies beyond
+ * every int64_t in the direction of b's sign.
+ */
+bool
+sumExceeds(std::int64_t a, std::int64_t b, std::int64_t c)
+{
+    std::int64_t sum = 0;
+    if (__builtin_add_overflow(a, b, &sum))
+        return b > 0;
+    return sum > c;
+}
+
 using Env = std::map<int, AbsVal>;
 
 /**
@@ -585,10 +598,22 @@ class Engine : public StaticAnalyzer
                       default: return;
                     }
                 }
+                // c - 1 and c + 1 overflow only where the branch
+                // cannot be taken (x < INT64_MIN, x > INT64_MAX); the
+                // value is then left unrefined.
+                std::int64_t bound = 0;
                 switch (op) {
-                  case BinaryOp::Lt: hi = std::min(hi, c - 1); break;
+                  case BinaryOp::Lt:
+                    if (__builtin_sub_overflow(c, 1, &bound))
+                        return;
+                    hi = std::min(hi, bound);
+                    break;
                   case BinaryOp::Le: hi = std::min(hi, c); break;
-                  case BinaryOp::Gt: lo = std::max(lo, c + 1); break;
+                  case BinaryOp::Gt:
+                    if (__builtin_add_overflow(c, 1, &bound))
+                        return;
+                    lo = std::max(lo, bound);
+                    break;
                   case BinaryOp::Ge: lo = std::max(lo, c); break;
                   case BinaryOp::Eq: lo = hi = c; break;
                   case BinaryOp::Ne: return;
@@ -737,11 +762,16 @@ class Engine : public StaticAnalyzer
             if (base.pointeeSize < 0)
                 return;
             const std::int64_t size = base.pointeeSize;
-            if (idx.hasRange) {
-                const std::int64_t lo_off =
-                    base.offLo + idx.lo * elem;
-                const std::int64_t hi_off =
-                    base.offHi + idx.hi * elem + elem - 1;
+            // Offsets that overflow int64_t have no range.
+            std::int64_t lo_off = 0, hi_off = 0;
+            const bool offsets_fit =
+                idx.hasRange &&
+                !__builtin_mul_overflow(idx.lo, elem, &lo_off) &&
+                !__builtin_add_overflow(base.offLo, lo_off, &lo_off) &&
+                !__builtin_mul_overflow(idx.hi, elem, &hi_off) &&
+                !__builtin_add_overflow(base.offHi, hi_off, &hi_off) &&
+                !__builtin_add_overflow(hi_off, elem - 1, &hi_off);
+            if (offsets_fit) {
                 const bool partially_out =
                     lo_off < 0 || hi_off >= size;
                 if (lo_off >= size || hi_off < 0 ||
@@ -799,10 +829,18 @@ class Engine : public StaticAnalyzer
               case UnaryOp::AddrOf:
                 return AbsVal::top(); // non-VarRef lvalues
 
-              case UnaryOp::Neg:
-                if (v.hasRange)
-                    return AbsVal::range(-v.hi, -v.lo, v.tainted);
-                return v;
+              case UnaryOp::Neg: {
+                if (!v.hasRange)
+                    return v;
+                std::int64_t lo = 0, hi = 0;
+                if (__builtin_sub_overflow(0, v.hi, &lo) ||
+                    __builtin_sub_overflow(0, v.lo, &hi)) {
+                    AbsVal out = AbsVal::top();
+                    out.tainted = v.tainted;
+                    return out;
+                }
+                return AbsVal::range(lo, hi, v.tainted);
+              }
               case UnaryOp::LogNot:
               case UnaryOp::BitNot: {
                 AbsVal out = AbsVal::top();
@@ -833,15 +871,25 @@ class Engine : public StaticAnalyzer
                               std::max<std::uint64_t>(
                                   bin.type->pointee()->size(), 1))
                         : 1;
-                if (b.hasRange) {
-                    std::int64_t dlo = b.lo * elem;
-                    std::int64_t dhi = b.hi * elem;
-                    if (bin.op == BinaryOp::Sub)
-                        std::swap(dlo = -dlo, dhi = -dhi);
-                    out.offLo += std::min(dlo, dhi);
-                    out.offHi += std::max(dlo, dhi);
+                // An offset that overflows int64_t is lost, as is one
+                // with no range.
+                std::int64_t dlo = 0, dhi = 0, off_lo = 0, off_hi = 0;
+                bool fits = b.hasRange &&
+                            !__builtin_mul_overflow(b.lo, elem, &dlo) &&
+                            !__builtin_mul_overflow(b.hi, elem, &dhi);
+                if (fits && bin.op == BinaryOp::Sub) {
+                    fits = !__builtin_sub_overflow(0, dlo, &dlo) &&
+                           !__builtin_sub_overflow(0, dhi, &dhi);
+                }
+                fits = fits &&
+                       !__builtin_add_overflow(
+                           out.offLo, std::min(dlo, dhi), &off_lo) &&
+                       !__builtin_add_overflow(
+                           out.offHi, std::max(dlo, dhi), &off_hi);
+                if (fits) {
+                    out.offLo = off_lo;
+                    out.offHi = off_hi;
                 } else {
-                    out.pointeeSize = out.pointeeSize; // offset lost
                     out.offLo = INT32_MIN;
                     out.offHi = INT32_MAX;
                 }
@@ -881,19 +929,23 @@ class Engine : public StaticAnalyzer
             if (a.hasRange && b.hasRange) {
                 bool ok = true;
                 std::int64_t lo = 0, hi = 0;
+                // A bound that overflows int64_t leaves the result
+                // with no range (its taint is already set).
                 switch (bin.op) {
                   case BinaryOp::Add:
-                    lo = a.lo + b.lo;
-                    hi = a.hi + b.hi;
+                    ok = !__builtin_add_overflow(a.lo, b.lo, &lo) &&
+                         !__builtin_add_overflow(a.hi, b.hi, &hi);
                     break;
                   case BinaryOp::Sub:
-                    lo = a.lo - b.hi;
-                    hi = a.hi - b.lo;
+                    ok = !__builtin_sub_overflow(a.lo, b.hi, &lo) &&
+                         !__builtin_sub_overflow(a.hi, b.lo, &hi);
                     break;
                   case BinaryOp::Mul: {
-                    const std::int64_t c[] = {a.lo * b.lo, a.lo * b.hi,
-                                              a.hi * b.lo,
-                                              a.hi * b.hi};
+                    std::int64_t c[4] = {};
+                    ok = !__builtin_mul_overflow(a.lo, b.lo, &c[0]) &&
+                         !__builtin_mul_overflow(a.lo, b.hi, &c[1]) &&
+                         !__builtin_mul_overflow(a.hi, b.lo, &c[2]) &&
+                         !__builtin_mul_overflow(a.hi, b.hi, &c[3]);
                     lo = std::min(std::min(c[0], c[1]),
                                   std::min(c[2], c[3]));
                     hi = std::max(std::max(c[0], c[1]),
@@ -1091,7 +1143,8 @@ class Engine : public StaticAnalyzer
                     const std::int64_t d0 = args[0].offLo;
                     const std::int64_t s0 = args[1].offLo;
                     if (args[0].isConst() || true) {
-                        if (d0 < s0 + n && s0 < d0 + n && d0 != s0) {
+                        if (sumExceeds(s0, n, d0) &&
+                            sumExceeds(d0, n, s0) && d0 != s0) {
                             report(FindingKind::ApiMisuse,
                                    call.loc(),
                                    "memcpy on overlapping ranges");
@@ -1143,8 +1196,8 @@ class Engine : public StaticAnalyzer
             // memset/memcpy length vs destination size.
             if (args.size() == 3 && args[0].pointeeSize >= 0 &&
                 args[2].isConst()) {
-                if (args[0].offLo + args[2].lo >
-                    args[0].pointeeSize) {
+                if (sumExceeds(args[0].offLo, args[2].lo,
+                               args[0].pointeeSize)) {
                     report(FindingKind::BufferOverflow, loc,
                            "length exceeds destination size");
                 }

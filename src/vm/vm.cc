@@ -12,6 +12,17 @@
 #include "support/logging.hh"
 #include "support/strings.hh"
 
+// VM_ALWAYS_INLINE forces a helper lambda into its call sites:
+// inside the large interpreter body GCC would otherwise keep some of
+// them out of line. VM_COLD keeps a rarely taken one out of line.
+#if defined(__GNUC__) || defined(__clang__)
+#define VM_ALWAYS_INLINE __attribute__((always_inline))
+#define VM_COLD __attribute__((noinline, cold))
+#else
+#define VM_ALWAYS_INLINE
+#define VM_COLD
+#endif
+
 namespace compdiff::vm
 {
 
@@ -74,6 +85,18 @@ doubleToInt(double d)
  * budget bounds growth to ~2M slots anyway).
  */
 constexpr std::size_t kMaxOperandSlots = std::size_t{1} << 20;
+
+/**
+ * The operand stack's growth path, taken when a push finds the
+ * storage full: doubles it, up to kMaxOperandSlots, and returns its
+ * new start. Kept out of line and cold, away from the handlers.
+ */
+VM_COLD Slot *
+growOperandStack(std::vector<Slot> &stack)
+{
+    stack.resize(std::min(stack.size() * 2, kMaxOperandSlots));
+    return stack.data();
+}
 
 } // namespace
 
@@ -188,14 +211,6 @@ Vm::run(const Bytes &input, CoverageMap *coverage, std::uint64_t nonce,
 // The interpreter body lives in interp.inc and is instantiated once
 // per dispatch mode; see the header comment there.
 
-// Forces a helper lambda into its call sites: inside the large
-// interpreter body GCC would otherwise keep some of them out of line.
-#if defined(__GNUC__) || defined(__clang__)
-#define VM_ALWAYS_INLINE __attribute__((always_inline))
-#else
-#define VM_ALWAYS_INLINE
-#endif
-
 #define VM_IMPL_NAME runSwitch
 #define VM_USE_THREADED 0
 #include "vm/interp.inc"
@@ -211,5 +226,6 @@ Vm::run(const Bytes &input, CoverageMap *coverage, std::uint64_t nonce,
 #endif
 
 #undef VM_ALWAYS_INLINE
+#undef VM_COLD
 
 } // namespace compdiff::vm

@@ -288,6 +288,25 @@ TEST(AllTools, CleanProgramHasNoFindings)
         EXPECT_EQ(countFindings(*tool, clean), 0u) << tool->name();
 }
 
+TEST(AllTools, OverflowingBoundsHaveNoRange)
+{
+    // big + 1L overflows int64_t, so w and z have no range and no
+    // tool may call 7L / z a division by constant zero. A bound
+    // computed with wrapping arithmetic would make z the constant 0.
+    const char *source = R"(
+        int main() {
+            long big = 9223372036854775807L;
+            long w = big + 1L;
+            long z = w - (-9223372036854775807L - 1L);
+            return (int)(7L / z);
+        }
+    )";
+    for (const auto &tool : analysis::allStaticAnalyzers()) {
+        EXPECT_FALSE(reports(*tool, source, FindingKind::DivByZero))
+            << tool->name();
+    }
+}
+
 TEST(AllTools, FindingRendering)
 {
     auto tool = analysis::makeLintCheck();

@@ -25,7 +25,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bytecode/decode.hh"
@@ -34,6 +37,7 @@
 #include "fuzz/fuzzer.hh"
 #include "minic/parser.hh"
 #include "session/serial.hh"
+#include "support/hash.hh"
 #include "support/rng.hh"
 #include "support/strings.hh"
 #include "targets/targets.hh"
@@ -95,6 +99,19 @@ runOne(const bytecode::Module &module,
     return {resultKey(result), std::move(map)};
 }
 
+/** Every dispatch x decode combination; the first is the reference. */
+const struct DispatchCombo
+{
+    vm::DispatchMode mode;
+    bool fused;
+    const char *name;
+} kCombos[] = {
+    {vm::DispatchMode::Switch, true, "switch/fused"},
+    {vm::DispatchMode::Switch, false, "switch/unfused"},
+    {vm::DispatchMode::Threaded, true, "threaded/fused"},
+    {vm::DispatchMode::Threaded, false, "threaded/unfused"},
+};
+
 /**
  * Run (module, config, input) under every dispatch x decode
  * combination in one process and require identical observations.
@@ -106,25 +123,15 @@ expectDispatchIdentity(const bytecode::Module &module,
                        const std::string &label,
                        std::uint64_t nonce = 0)
 {
-    const ModeRun reference = runOne(module, config, input,
-                                     vm::DispatchMode::Switch,
-                                     /*fused=*/true, nonce);
-    const struct
-    {
-        vm::DispatchMode mode;
-        bool fused;
-        const char *name;
-    } combos[] = {
-        {vm::DispatchMode::Switch, false, "switch/unfused"},
-        {vm::DispatchMode::Threaded, true, "threaded/fused"},
-        {vm::DispatchMode::Threaded, false, "threaded/unfused"},
-    };
-    for (const auto &combo : combos) {
+    const ModeRun reference =
+        runOne(module, config, input, kCombos[0].mode,
+               kCombos[0].fused, nonce);
+    for (const auto &combo : std::span(kCombos).subspan(1)) {
         const ModeRun run = runOne(module, config, input, combo.mode,
                                    combo.fused, nonce);
         EXPECT_EQ(run.key, reference.key)
-            << label << ": " << combo.name
-            << " diverges from switch/fused";
+            << label << ": " << combo.name << " diverges from "
+            << kCombos[0].name;
         EXPECT_EQ(run.coverage, reference.coverage)
             << label << ": " << combo.name << " coverage differs";
     }
@@ -159,6 +166,114 @@ TEST(DispatchIdentity, BundledTargetsAllModes)
                         ++nonce);
                 }
             }
+        }
+    }
+}
+
+// ------------------------------------------------------------------
+// Golden observation digests. Every dispatch mode and decoding runs
+// the one handler source in vm/interp.inc, so the identity tests
+// above cannot see a change to a handler itself. These digests pin
+// what Vm::run observes on every bundled target: the resultKey
+// fields, the coverage map and the control-flow trace. They cover
+// the paper10 binaries plus one build per sanitizer (whose shadows go
+// through the checked memory helpers), every seed and its one-byte
+// mutation, and a ladder of instruction budgets, all on one resident
+// Vm per (target, config) so that arena reuse is covered too.
+//
+// Only a change meant to alter VM behaviour may update the constants.
+// ------------------------------------------------------------------
+
+std::vector<compiler::CompilerConfig>
+goldenConfigs()
+{
+    auto configs = compiler::standardImplementations();
+    configs.push_back({compiler::Vendor::Gcc, compiler::OptLevel::O2,
+                       compiler::Sanitizer::ASan});
+    configs.push_back({compiler::Vendor::Clang, compiler::OptLevel::O1,
+                       compiler::Sanitizer::MSan});
+    configs.push_back({compiler::Vendor::Clang, compiler::OptLevel::O2,
+                       compiler::Sanitizer::UBSan});
+    return configs;
+}
+
+std::uint64_t
+observationDigest(const targets::TargetProgram &target,
+                  vm::DispatchMode mode, bool fused)
+{
+    static constexpr std::uint64_t kBudgets[] = {
+        1, 2, 3, 17, 100, 1000, 2'000'000};
+    std::vector<support::Bytes> inputs;
+    for (const auto &seed : target.seeds) {
+        inputs.push_back(seed);
+        if (!seed.empty()) {
+            support::Bytes mutated = seed;
+            mutated[mutated.size() / 2] ^= 0xFF;
+            inputs.push_back(std::move(mutated));
+        }
+    }
+    auto program = minic::parseAndCheck(target.source);
+    compiler::Compiler comp(*program);
+    support::HashCombiner digest;
+    vm::CoverageMap coverage;
+    std::vector<vm::TraceEntry> trace;
+    for (const auto &config : goldenConfigs()) {
+        const auto module = comp.compile(config);
+        vm::Vm machine(module, config);
+        machine.setDispatchMode(mode);
+        if (!fused) {
+            machine.setDecodedProgram(
+                bytecode::decodeModule(module, {/*fuse=*/false}));
+        }
+        std::uint64_t nonce = 0;
+        for (const auto &input : inputs) {
+            for (const std::uint64_t budget : kBudgets) {
+                machine.setMaxInstructions(budget);
+                coverage.reset();
+                trace.clear();
+                const auto result =
+                    machine.run(input, &coverage, ++nonce, &trace);
+                digest.addString(resultKey(result));
+                digest.addBytes(coverage.data(), vm::kCoverageMapSize);
+                digest.add(trace.size());
+                for (const auto &entry : trace) {
+                    digest.add(static_cast<std::uint64_t>(entry.func));
+                    digest.add(entry.line);
+                }
+            }
+        }
+    }
+    return digest.digest();
+}
+
+TEST(VmGolden, ObservationDigestsMatchRecorded)
+{
+    const std::pair<const char *, std::uint64_t> kGolden[] = {
+        {"pktdump", 0x4a18ed973262e7ddull},
+        {"netshark", 0xe61dd26a3c03b121ull},
+        {"elfread", 0xebfd3f0e96690c29ull},
+        {"objview", 0x14b115c6f08f6925ull},
+        {"arczip", 0xf54f01fc0e12447full},
+        {"sndconv", 0x7f77be06e524950dull},
+        {"imgmeta", 0x6658b26164271d6aull},
+        {"pixmagick", 0xe0f6bdc1c727f9ddull},
+        {"scriptvm", 0x741d366d8de7aa8eull},
+        {"floatpack", 0xdf74ecda5f45c761ull},
+        {"jsonq", 0x26b46450dbbedecdull},
+        {"phplite", 0xca2bf63f0411d0c4ull},
+        {"vidmux", 0x2b97d8a5a49fab37ull},
+    };
+    ASSERT_EQ(std::size(kGolden), targets::allTargets().size());
+    for (const auto &[name, expected] : kGolden) {
+        const auto *target = targets::findTarget(name);
+        ASSERT_NE(target, nullptr) << name;
+        for (const auto &combo : kCombos) {
+            const std::uint64_t digest =
+                observationDigest(*target, combo.mode, combo.fused);
+            EXPECT_EQ(digest, expected)
+                << name << " " << combo.name << ": computed digest "
+                << format("0x%016llx",
+                          static_cast<unsigned long long>(digest));
         }
     }
 }
@@ -451,14 +566,36 @@ TEST_P(OperandStackHardening, DeepUnderflowInRot3)
 TEST_P(OperandStackHardening, UnboundedPushLoopTrapsNotOom)
 {
     // An infinite push loop must hit the operand-slot cap and trap
-    // long before the instruction budget or host memory does.
+    // long before the instruction budget or host memory does: 2^20
+    // (PushI, Jmp) pairs fill the stack, and the next PushI traps.
     const auto module =
         handModule({{bytecode::Op::PushI, 0, 0, 1, 1},
                     {bytecode::Op::Jmp, 0, 0, 0, 1}});
-    const auto result = runMalformed(module, GetParam());
+    vm::VmLimits limits;
+    limits.maxInstructions = 10'000'000;
+    vm::Vm machine(module, kGccO0, limits);
+    machine.setDispatchMode(GetParam());
+    const auto result = machine.run({});
     EXPECT_EQ(result.termination, vm::Termination::Trap);
     EXPECT_EQ(result.trap, vm::TrapKind::OperandStack);
     EXPECT_EQ(result.exitClass(), "crash:stack");
+    EXPECT_EQ(result.instructions, 2'097'153u);
+    // The arena keeps the grown stack; a rerun must not notice.
+    EXPECT_EQ(resultKey(machine.run({})), resultKey(result));
+}
+
+TEST_P(OperandStackHardening, PushLoopBudgetStopsAroundArenaGrowth)
+{
+    // The operand stack starts with 64 slots; budgets 127-130 stop
+    // the push loop just before and just after it first grows.
+    const auto module =
+        handModule({{bytecode::Op::PushI, 0, 0, 1, 1},
+                    {bytecode::Op::Jmp, 0, 0, 0, 1}});
+    for (std::uint64_t budget = 127; budget <= 130; budget++) {
+        const auto result = runMalformed(module, GetParam(), budget);
+        EXPECT_EQ(result.exitClass(), "timeout") << budget;
+        EXPECT_EQ(result.instructions, budget + 1) << budget;
+    }
 }
 
 TEST_P(OperandStackHardening, PcRunawayHitsTrapEndSentinel)

@@ -306,6 +306,35 @@ TEST(VmBasic, InstructionBudgetIsTimeout)
     EXPECT_EQ(result.exitClass(), "timeout");
 }
 
+TEST(VmBasic, MemsetAndMemcpyCountOneInstructionPerByte)
+{
+    // Both builtins bill each byte as one instruction on top of the
+    // call; between the two runs only n differs.
+    auto program = minic::parseAndCheck(R"(
+        int main() {
+            char a[200];
+            char b[200];
+            long n = input_byte(0);
+            memset(a, 1, n);
+            memcpy(b, a, n);
+            return 0;
+        }
+    )");
+    compiler::Compiler comp(*program);
+    const auto module = comp.compile(kGccO0);
+    for (const auto mode :
+         {vm::DispatchMode::Switch, vm::DispatchMode::Threaded}) {
+        Vm machine(module, kGccO0);
+        machine.setDispatchMode(mode);
+        const auto none = machine.run(support::Bytes{0});
+        const auto some = machine.run(support::Bytes{150});
+        EXPECT_EQ(none.exitClass(), "exit:0");
+        EXPECT_EQ(some.exitClass(), "exit:0");
+        EXPECT_EQ(some.instructions - none.instructions, 300u)
+            << vm::dispatchModeName(mode);
+    }
+}
+
 TEST(VmBasic, StackOverflowDetected)
 {
     auto result = runWith(R"(
