@@ -1,70 +1,15 @@
 /**
  * @file
- * A small command-line front end: run CompDiff on your own MiniC
- * program, and when a divergence is found, localize it.
+ * A command-line front end: run CompDiff on your own MiniC program or
+ * a built-in target, for one input or as a fuzz campaign, and
+ * localize, reduce and bundle what diverges. `--mode=sancheck` flips
+ * the oracle onto the sanitizers themselves (DESIGN.md §14): the
+ * reference interpreter certifies each input's UB and each sanitized
+ * implementation's silence or report becomes a false negative or a
+ * false positive, swept over the seeds or found by a campaign and
+ * summed up in an FN/FP matrix.
  *
- *   ./build/examples/compdiff_cli [options] [prog.mc [input-file]]
- *
- * Options (observability, see DESIGN.md "Observability"):
- *   --impls=SPECS       the oracle: comma-separated implementation
- *                       specs ("gcc:-O2", "clang:-Os:ubsan", "ref")
- *                       or the aliases "paper10" (default — the
- *                       paper's ten) and "all" (paper10 + the
- *                       reference interpreter); see DESIGN.md §7
- *   --mode=sancheck     flip the oracle: instead of differential
- *                       testing, certify each input's UB-ness with
- *                       the reference interpreter and classify
- *                       per-sanitizer false negatives / false
- *                       positives (DESIGN.md §14). With no program
- *                       argument the built-in `sanlab` target runs.
- *   --san-impls=SPECS   sanitized implementations for
- *                       --mode=sancheck (default: the sancheck
- *                       subsystem's standard four)
- *   --fuzz[=N]          run a CompDiff-AFL++ campaign (default
- *                       20000 execs) instead of a single input
- *   --target=NAME       fuzz a built-in campaign target (pktdump,
- *                       elfread, ...) instead of a program file;
- *                       uses the target's official seeds
- *   --reduce[=BUDGET]   after a --fuzz campaign, minimize every
- *                       unique divergence (ddmin the input, shrink
- *                       the program) under a per-divergence oracle
- *                       budget (default 4096 candidates)
- *   --reports-out=DIR   bundle each reduced divergence under
- *                       DIR/sig-<hex>/ (program.mc, input.bin,
- *                       witness.bin, report.md), keyed by the
- *                       semantic key; witnesses whose minimized
- *                       programs canonicalize identically merge
- *                       into one bundle (variants/ subdirs)
- *   --jobs=N            worker threads (0 = hardware); results are
- *                       bit-identical for every value
- *   --shards=N          split a --fuzz campaign into N deterministic
- *                       shards (this *does* change the campaign;
- *                       see DESIGN.md "Parallel execution")
- *   --session=DIR       persist the --fuzz campaign as a crash-safe
- *                       session under DIR (checkpoint journals,
- *                       manifest, cumulative stats; DESIGN.md §10)
- *   --resume            continue the session in --session=DIR from
- *                       its last checkpoint (the configuration must
- *                       match the persisted campaign exactly)
- *   --checkpoint-every=N  checkpoint every N shard executions
- *                       (default: a twentieth of the budget)
- *   --halt-after=N      stop each shard at its first safe point at
- *                       or beyond N executions (testing/interrupt
- *                       hook; resume finishes the campaign)
- *   --heartbeat-every=S shard heartbeat cadence in seconds
- *                       (display/health only; default 1)
- *   --cache-entries=N   bound the compile cache to N modules (LRU;
- *                       watch cache.hit/miss/evict in --metrics-out)
- *   --stats-out=FILE    write an AFL++-style fuzzer_stats snapshot
- *   --plot-out=FILE     write an AFL++-style plot_data time series
- *   --trace-out=FILE    write Chrome-trace JSON (chrome://tracing)
- *   --metrics-out=FILE  write the metrics registry as JSONL
- *   --flame             print the span flame summary to stdout
- *   --quiet             silence warn()/inform() notices
- *   --validate-json=F   check that F parses as JSON and exit
- *
- * With no program argument it writes a demo program to /tmp and
- * analyzes that, so it is safe to run from the bench/example sweep.
+ *   ./build/examples/compdiff_cli --help
  *
  * The report mirrors the paper's bug reports (Section 5): the
  * triggering input, two configurations that reproduce the issue, the
@@ -72,42 +17,28 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "compdiff/engine.hh"
-#include "compdiff/implementation.hh"
 #include "compdiff/localize.hh"
-#include "compiler/cache.hh"
-#include "compiler/config.hh"
-#include "fuzz/sharded.hh"
+#include "frontend.hh"
 #include "minic/parser.hh"
 #include "obs/json.hh"
-#include "obs/metrics.hh"
 #include "obs/stats.hh"
-#include "obs/trace.hh"
 #include "reduce/report.hh"
 #include "sancheck/report.hh"
 #include "sancheck/sancheck.hh"
-#include "session/session.hh"
-#include "support/bytes.hh"
 #include "support/logging.hh"
-#include "targets/targets.hh"
+#include "support/table.hh"
 
 namespace
 {
 
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-}
+using namespace compdiff;
 
 const char *kDemoProgram = R"(// demo: unstable overflow guard
 int check_range(int offset, int len) {
@@ -128,262 +59,138 @@ int main() {
 }
 )";
 
-const char *kUsage =
-    "usage: compdiff_cli [options] [prog.mc [input-file]]\n"
-    "\n"
-    "  --impls=SPECS         oracle implementation specs, or the\n"
-    "                        aliases \"paper10\" (default) / \"all\"\n"
-    "  --mode=sancheck       sanitizer-checking oracle: certify UB\n"
-    "                        with the reference interpreter and\n"
-    "                        classify sanitizer FN/FP findings\n"
-    "  --san-impls=SPECS     sanitized implementations for\n"
-    "                        --mode=sancheck (default: the standard\n"
-    "                        four)\n"
-    "  --fuzz[=N]            run a fuzz campaign (default 20000\n"
-    "                        execs) instead of a single input\n"
-    "  --target=NAME         fuzz a built-in target (pktdump, ...)\n"
-    "  --reduce[=BUDGET]     minimize each unique divergence found\n"
-    "  --reports-out=DIR     bundle reduced divergences under DIR\n"
-    "                        (semantically equal witnesses merge\n"
-    "                        into one bundle)\n"
-    "  --jobs=N              worker threads (never changes results)\n"
-    "  --shards=N            deterministic campaign shards\n"
-    "  --session=DIR         persist the campaign as a crash-safe\n"
-    "                        session under DIR\n"
-    "  --resume              continue the session in --session=DIR\n"
-    "  --checkpoint-every=N  checkpoint every N shard executions\n"
-    "  --halt-after=N        stop each shard at the first safe\n"
-    "                        point at or beyond N executions\n"
-    "  --heartbeat-every=S   shard heartbeat cadence in seconds\n"
-    "                        (display/health only; default 1)\n"
-    "  --cache-entries=N     bound the compile cache to N modules\n"
-    "                        (LRU eviction; 0 = unbounded)\n"
-    "  --stats-out=FILE      AFL++-style fuzzer_stats snapshot\n"
-    "  --plot-out=FILE       AFL++-style plot_data time series\n"
-    "  --trace-out=FILE      Chrome-trace JSON\n"
-    "  --metrics-out=FILE    metrics registry as JSONL\n"
-    "  --flame               print the span flame summary\n"
-    "  --quiet               silence warn()/inform() notices\n"
-    "  --validate-json=F     check that F parses as JSON and exit\n"
-    "  --help                show this text\n"
-    "\n"
-    "With no program argument, analyzes a built-in demo program.\n";
-
-/** Parsed command line. */
-struct CliOptions
+int
+validateJson(const std::string &path)
 {
-    std::string impls = "paper10";
-    bool sancheck = false;
-    std::string sanImpls;
-    bool fuzz = false;
-    std::uint64_t fuzzExecs = 20'000;
-    std::string target;
-    bool reduce = false;
-    std::uint64_t reduceBudget = 4096;
-    std::string reportsOut;
-    std::size_t jobs = 1;
-    std::size_t shards = 1;
-    std::string sessionDir;
-    bool resume = false;
-    std::uint64_t checkpointEvery = 0;
-    std::uint64_t haltAfter = 0;
-    double heartbeatSecs = 1.0;
-    bool cacheLimitSet = false;
-    std::size_t cacheEntries = 0;
-    std::string statsOut;
-    std::string plotOut;
-    std::string traceOut;
-    std::string metricsOut;
-    bool flame = false;
-    bool quiet = false;
-    std::string validateJson;
-    std::vector<std::string> positional;
-
-    bool wantsTelemetry() const
-    {
-        return !statsOut.empty() || !plotOut.empty() ||
-               !traceOut.empty() || !metricsOut.empty() || flame;
+    const std::string text = frontend::readFile(path);
+    std::string error;
+    if (!obs::jsonWellFormed(text, &error)) {
+        std::fprintf(stderr, "%s: invalid JSON (%s)\n", path.c_str(),
+                     error.c_str());
+        return 1;
     }
-};
-
-bool
-matchFlag(const std::string &arg, const char *name,
-          std::string *value)
-{
-    const std::string prefix = std::string(name) + "=";
-    if (arg.rfind(prefix, 0) == 0) {
-        *value = arg.substr(prefix.size());
-        return true;
-    }
-    return false;
+    std::printf("%s: well-formed JSON (%zu bytes)\n", path.c_str(),
+                text.size());
+    return 0;
 }
 
-CliOptions
-parseArgs(int argc, char **argv)
+/**
+ * Table-6-style overlap matrix: one row per sanitized
+ * implementation, one column per UB class, each cell the unique
+ * FN/FP signature counts observed for that pair.
+ */
+std::string
+renderMatrix(const core::ImplementationSet &impls,
+             const std::vector<sancheck::SanFinding> &findings)
 {
-    CliOptions options;
-    for (int i = 1; i < argc; i++) {
-        const std::string arg = argv[i];
-        std::string value;
-        if (arg == "--fuzz") {
-            options.fuzz = true;
-        } else if (matchFlag(arg, "--impls", &value)) {
-            options.impls = value;
-        } else if (matchFlag(arg, "--mode", &value)) {
-            if (value != "sancheck" && value != "diff") {
-                std::fprintf(stderr, "unknown mode %s\n\n%s",
-                             value.c_str(), kUsage);
-                std::exit(2);
-            }
-            options.sancheck = value == "sancheck";
-        } else if (matchFlag(arg, "--san-impls", &value)) {
-            options.sanImpls = value;
-        } else if (matchFlag(arg, "--fuzz", &value)) {
-            options.fuzz = true;
-            options.fuzzExecs = static_cast<std::uint64_t>(
-                std::strtoull(value.c_str(), nullptr, 10));
-        } else if (arg == "--reduce") {
-            options.reduce = true;
-        } else if (matchFlag(arg, "--reduce", &value)) {
-            options.reduce = true;
-            options.reduceBudget = static_cast<std::uint64_t>(
-                std::strtoull(value.c_str(), nullptr, 10));
-        } else if (matchFlag(arg, "--reports-out", &value)) {
-            options.reportsOut = value;
-        } else if (matchFlag(arg, "--target", &value)) {
-            options.target = value;
-        } else if (matchFlag(arg, "--jobs", &value)) {
-            options.jobs = static_cast<std::size_t>(
-                std::strtoull(value.c_str(), nullptr, 10));
-        } else if (matchFlag(arg, "--shards", &value)) {
-            options.shards = static_cast<std::size_t>(
-                std::strtoull(value.c_str(), nullptr, 10));
-        } else if (matchFlag(arg, "--session", &value)) {
-            options.sessionDir = value;
-        } else if (arg == "--resume") {
-            options.resume = true;
-        } else if (matchFlag(arg, "--checkpoint-every", &value)) {
-            options.checkpointEvery = static_cast<std::uint64_t>(
-                std::strtoull(value.c_str(), nullptr, 10));
-        } else if (matchFlag(arg, "--halt-after", &value)) {
-            options.haltAfter = static_cast<std::uint64_t>(
-                std::strtoull(value.c_str(), nullptr, 10));
-        } else if (matchFlag(arg, "--heartbeat-every", &value)) {
-            options.heartbeatSecs =
-                std::strtod(value.c_str(), nullptr);
-        } else if (matchFlag(arg, "--cache-entries", &value)) {
-            options.cacheLimitSet = true;
-            options.cacheEntries = static_cast<std::size_t>(
-                std::strtoull(value.c_str(), nullptr, 10));
-        } else if (matchFlag(arg, "--stats-out", &value)) {
-            options.statsOut = value;
-        } else if (matchFlag(arg, "--plot-out", &value)) {
-            options.plotOut = value;
-        } else if (matchFlag(arg, "--trace-out", &value)) {
-            options.traceOut = value;
-        } else if (matchFlag(arg, "--metrics-out", &value)) {
-            options.metricsOut = value;
-        } else if (arg == "--flame") {
-            options.flame = true;
-        } else if (arg == "--quiet") {
-            options.quiet = true;
-        } else if (matchFlag(arg, "--validate-json", &value)) {
-            options.validateJson = value;
-        } else if (arg == "--help") {
-            std::fputs(kUsage, stdout);
-            std::exit(0);
-        } else if (arg.rfind("--", 0) == 0) {
-            std::fprintf(stderr, "unknown option %s\n\n%s",
-                         arg.c_str(), kUsage);
-            std::exit(2);
+    static const refinterp::UbKind kKinds[] = {
+        refinterp::UbKind::SignedOverflow,
+        refinterp::UbKind::DivideByZero,
+        refinterp::UbKind::OversizedShift,
+        refinterp::UbKind::NullDeref,
+        refinterp::UbKind::OutOfBounds,
+        refinterp::UbKind::UninitRead,
+    };
+    // One unique signature is one cell entry: the campaign already
+    // dedups, the fixed sweep dedups here.
+    std::set<std::string> seen;
+    std::map<std::pair<std::string, refinterp::UbKind>,
+             std::pair<std::uint64_t, std::uint64_t>>
+        cells;
+    std::uint64_t total_fn = 0, total_fp = 0;
+    for (const auto &finding : findings) {
+        if (!seen.insert(finding.signature()).second)
+            continue;
+        auto &cell = cells[{finding.implId, finding.ubKind}];
+        if (finding.kind == sancheck::FindingKind::FalseNegative) {
+            cell.first++;
+            total_fn++;
         } else {
-            options.positional.push_back(arg);
+            cell.second++;
+            total_fp++;
         }
     }
-    return options;
+
+    support::TextTable table;
+    std::vector<std::string> header = {"impl"};
+    std::vector<support::Align> align = {support::Align::Left};
+    for (const auto kind : kKinds) {
+        header.push_back(refinterp::ubKindName(kind));
+        align.push_back(support::Align::Left);
+    }
+    table.setHeader(std::move(header));
+    table.setAlign(std::move(align));
+    for (const auto &impl : impls) {
+        std::vector<std::string> row = {impl->id()};
+        for (const auto kind : kKinds) {
+            const auto it = cells.find({impl->id(), kind});
+            if (it == cells.end()) {
+                row.push_back(".");
+                continue;
+            }
+            std::string cell;
+            if (it->second.first)
+                cell += "FN x" + std::to_string(it->second.first);
+            if (it->second.second) {
+                if (!cell.empty())
+                    cell += " ";
+                cell += "FP x" + std::to_string(it->second.second);
+            }
+            row.push_back(cell);
+        }
+        table.addRow(std::move(row));
+    }
+    std::ostringstream os;
+    os << "sanitizer FN/FP matrix (unique signatures):\n"
+       << table.str() << "\n"
+       << "findings : " << total_fn << " FN, " << total_fp << " FP\n";
+    return os.str();
 }
 
-/** Flush requested telemetry files at exit (any mode). */
 void
-exportTelemetry(const CliOptions &options)
+printReduced(const std::vector<sancheck::FindingReport> &reports)
 {
-    using namespace compdiff;
-    if (!options.traceOut.empty()) {
-        obs::writeTextFile(
-            options.traceOut,
-            obs::TraceRecorder::global().chromeTraceJson());
-    }
-    if (!options.metricsOut.empty()) {
-        obs::writeTextFile(
-            options.metricsOut,
-            obs::Registry::global().snapshot().toJsonl());
-    }
-    if (options.flame) {
-        std::printf("\nspan flame summary:\n%s",
-                    obs::TraceRecorder::global()
-                        .flameSummary()
-                        .c_str());
+    for (const auto &report : reports) {
+        std::printf(
+            "\nreduced %s: input %zu -> %zu bytes, program %zu -> %zu "
+            "statements%s\n",
+            reduce::signatureDirName(report.finding.signatureHash())
+                .c_str(),
+            report.witnessInput.size(), report.input.size(),
+            report.programStats.stmtsBefore,
+            report.programStats.stmtsAfter,
+            report.reproduced
+                ? ""
+                : " (witness did not reproduce; kept as-is)");
     }
 }
 
 int
-runFuzzMode(const compdiff::minic::Program &program,
-            const std::vector<compdiff::support::Bytes> &seeds,
-            const CliOptions &options)
+runCampaign(const minic::Program &program,
+            const core::ImplementationSet &impls,
+            const frontend::Subject &subject,
+            const frontend::CampaignFlags &flags)
 {
-    using namespace compdiff;
-
-    fuzz::FuzzOptions fuzz_options;
-    if (options.sancheck) {
-        fuzz_options.sancheckMode = true;
-        if (!options.sanImpls.empty()) {
-            fuzz_options.sancheckImpls =
-                core::ImplementationRegistry::global().parse(
-                    options.sanImpls);
-        }
-    } else {
-        fuzz_options.diffImpls =
-            core::ImplementationRegistry::global().parse(
-                options.impls);
-    }
-    fuzz_options.maxExecs = options.fuzzExecs;
-    fuzz_options.statsOutPath = options.statsOut;
-    fuzz_options.plotOutPath = options.plotOut;
-    fuzz_options.jobs = options.jobs;
-
     // The session owns the whole lifecycle; with --session=DIR it
     // persists checkpoints there, otherwise it runs ephemerally.
-    session::SessionConfig session_config;
-    session_config.dir = options.sessionDir;
-    session_config.resume = options.resume;
-    session_config.checkpointEvery = options.checkpointEvery;
-    session_config.haltAfterExecs = options.haltAfter;
-    session_config.heartbeatSecs = options.heartbeatSecs;
-    session_config.fuzz = fuzz_options;
-    session_config.shards = options.shards;
-    session_config.jobs = options.jobs;
-    session_config.triage.reduceFound = options.reduce;
-    session_config.triage.candidateBudget = options.reduceBudget;
-    session_config.triage.reportsDir = options.reportsOut;
-
-    session::CampaignSession session(program, seeds,
-                                     session_config);
+    const session::SessionConfig config = flags.sessionConfig(impls);
+    session::CampaignSession session(program, subject.seeds, config);
     const fuzz::ShardedResult &sharded = session.run();
 
-    std::printf("%s",
-                obs::renderFuzzerStats(session.statsSnapshot())
-                    .c_str());
+    std::printf(
+        "%s",
+        obs::renderFuzzerStats(session.statsSnapshot()).c_str());
     if (session.halted()) {
         std::printf("\nsession halted at a checkpoint after %llu "
                     "execs; rerun with --session=%s --resume to "
                     "finish the campaign\n",
                     static_cast<unsigned long long>(
                         sharded.total.execs),
-                    options.sessionDir.c_str());
-        exportTelemetry(options);
+                    flags.sessionDir.c_str());
         return 0;
     }
-    if (options.sancheck) {
+    if (flags.sancheck()) {
+        std::vector<sancheck::SanFinding> findings;
         for (const auto &diff : sharded.diffs) {
             std::printf("\nfinding at exec %llu "
                         "(%zu-byte input):\n  %s\n",
@@ -391,24 +198,11 @@ runFuzzMode(const compdiff::minic::Program &program,
                             diff.execIndex),
                         diff.input.size(),
                         diff.sanFinding.str().c_str());
+            findings.push_back(diff.sanFinding);
         }
-        const std::vector<sancheck::FindingReport> reports =
-            session.triageSancheck();
-        for (const auto &report : reports) {
-            std::printf(
-                "\nreduced %s: input %zu -> %zu bytes, "
-                "program %zu -> %zu statements%s\n",
-                reduce::signatureDirName(
-                    report.finding.signatureHash())
-                    .c_str(),
-                report.witnessInput.size(), report.input.size(),
-                report.programStats.stmtsBefore,
-                report.programStats.stmtsAfter,
-                report.reproduced
-                    ? ""
-                    : " (witness did not reproduce; kept as-is)");
-        }
-        exportTelemetry(options);
+        printReduced(session.triageSancheck());
+        std::printf("\n%s",
+                    renderMatrix(impls, findings).c_str());
         return sharded.total.diffs > 0 ? 1 : 0;
     }
     for (const auto &diff : sharded.diffs) {
@@ -418,9 +212,7 @@ runFuzzMode(const compdiff::minic::Program &program,
                     diff.input.size(),
                     diff.result.summary().c_str());
     }
-    const std::vector<reduce::DivergenceReport> reports =
-        session.triage();
-    for (const auto &report : reports) {
+    for (const auto &report : session.triage()) {
         std::printf("\nreduced %s: input %zu -> %zu bytes, "
                     "program %zu -> %zu statements%s\n",
                     reduce::signatureDirName(report.semanticKey)
@@ -454,147 +246,58 @@ runFuzzMode(const compdiff::minic::Program &program,
                         report.localization.note.c_str());
         }
     }
-    exportTelemetry(options);
     return sharded.total.diffs > 0 ? 1 : 0;
 }
 
-} // namespace
+/** Sancheck mode without --fuzz: classify every input against every
+ *  implementation (nonce 0, input order, fully deterministic) and
+ *  print the matrix. Exits 1 when a finding fires, so it is also the
+ *  reproduce command every sancheck bundle's report.md names. */
+int
+sweep(const minic::Program &program,
+      const core::ImplementationSet &impls,
+      const std::vector<support::Bytes> &inputs,
+      const frontend::CampaignFlags &flags)
+{
+    sancheck::SanCheckOracle oracle(program, impls);
+    std::vector<sancheck::SanFinding> findings;
+    std::vector<sancheck::FindingWitness> witnesses;
+    std::set<std::string> seen;
+    for (const auto &input : inputs) {
+        for (const auto &finding : oracle.runInput(input).findings) {
+            findings.push_back(finding);
+            if (seen.insert(finding.signature()).second) {
+                std::printf("finding: %s\n", finding.str().c_str());
+                witnesses.push_back({input, finding});
+            }
+        }
+    }
+    if (flags.reduce && !witnesses.empty()) {
+        sancheck::FindingReduceOptions options;
+        options.candidateBudget = flags.reduceBudget;
+        options.jobs = flags.jobs;
+        options.reportsDir = flags.reportsOut;
+        printReduced(sancheck::reduceFindings(program, impls,
+                                              witnesses, options));
+    }
+    std::printf("\n%s", renderMatrix(impls, findings).c_str());
+    return findings.empty() ? 0 : 1;
+}
 
 int
-main(int argc, char **argv)
+diffInput(const minic::Program &program,
+          const core::ImplementationSet &impls,
+          const support::Bytes &input,
+          const frontend::CampaignFlags &flags)
 {
-    using namespace compdiff;
-
-    const CliOptions options = parseArgs(argc, argv);
-
-    if (!options.validateJson.empty()) {
-        const std::string text = readFile(options.validateJson);
-        if (text.empty()) {
-            std::fprintf(stderr, "cannot read %s\n",
-                         options.validateJson.c_str());
-            return 2;
-        }
-        std::string error;
-        if (!obs::jsonWellFormed(text, &error)) {
-            std::fprintf(stderr, "%s: invalid JSON (%s)\n",
-                         options.validateJson.c_str(),
-                         error.c_str());
-            return 1;
-        }
-        std::printf("%s: well-formed JSON (%zu bytes)\n",
-                    options.validateJson.c_str(), text.size());
-        return 0;
-    }
-
-    support::QuietGuard quiet(options.quiet);
-    if (options.wantsTelemetry())
-        obs::setEnabled(true);
-    if (options.cacheLimitSet) {
-        compiler::CompileCache::global().setLimits(
-            options.cacheEntries,
-            compiler::CompileCache::kDefaultMaxBytes);
-    }
-
-    std::string source;
-    support::Bytes input;
-    std::vector<support::Bytes> seeds;
-    if (!options.target.empty()) {
-        const targets::TargetProgram *target =
-            targets::findTarget(options.target);
-        if (!target) {
-            std::fprintf(stderr, "unknown target %s\n",
-                         options.target.c_str());
-            return 2;
-        }
-        source = target->source;
-        seeds = target->seeds;
-        if (!seeds.empty())
-            input = seeds.front();
-    } else if (!options.positional.empty()) {
-        source = readFile(options.positional[0]);
-        if (source.empty()) {
-            std::fprintf(stderr, "cannot read %s\n",
-                         options.positional[0].c_str());
-            return 2;
-        }
-    } else if (options.sancheck) {
-        std::printf("no program given; running the built-in sanlab "
-                    "target (see DESIGN.md section 14)\n\n");
-        source = sancheck::sanlabSource();
-        seeds = sancheck::sanlabSeeds();
-        if (!seeds.empty())
-            input = seeds.front();
-    } else {
-        std::printf("no program given; analyzing the built-in demo "
-                    "(see --help in the source header)\n\n");
-        source = kDemoProgram;
-        input = {10, 50}; // offset INT_MAX-10, len 50: overflows
-    }
-    if (options.target.empty() && options.positional.size() > 1) {
-        const std::string raw = readFile(options.positional[1]);
-        input.assign(raw.begin(), raw.end());
-    }
-    if (seeds.empty() && !input.empty())
-        seeds.push_back(input);
-
-    std::unique_ptr<minic::Program> program;
-    try {
-        program = minic::parseAndCheck(source);
-    } catch (const support::CompileError &error) {
-        std::fprintf(stderr, "%s\n", error.what());
-        return 2;
-    }
-
-    if (options.fuzz) {
-        try {
-            return runFuzzMode(*program, seeds, options);
-        } catch (const session::SessionError &error) {
-            std::fprintf(stderr, "session error: %s\n",
-                         error.what());
-            return 2;
-        }
-    }
-
-    if (options.sancheck) {
-        sancheck::SanCheckOracle oracle(
-            *program,
-            options.sanImpls.empty()
-                ? sancheck::defaultImplementations()
-                : core::ImplementationRegistry::global().parse(
-                      options.sanImpls));
-        const sancheck::Outcome outcome = oracle.runInput(input);
-        std::printf("certified reference run: %s, "
-                    "%zu certificate(s)\n",
-                    outcome.certified.result.exitClass().c_str(),
-                    outcome.certified.certificates.size());
-        for (const auto &cert : outcome.certified.certificates)
-            std::printf("  %s\n", cert.str().c_str());
-        if (outcome.findings.empty()) {
-            std::printf("\nno sanitizer findings on this input. "
-                        "Try other inputs, or run a campaign with "
-                        "--mode=sancheck --fuzz.\n");
-            exportTelemetry(options);
-            return 0;
-        }
-        for (const auto &finding : outcome.findings)
-            std::printf("\nfinding: %s\n", finding.str().c_str());
-        exportTelemetry(options);
-        return 1;
-    }
-
     core::DiffOptions diff_options;
-    diff_options.jobs = options.jobs;
-    core::DiffEngine engine(
-        *program,
-        core::ImplementationRegistry::global().parse(options.impls),
-        diff_options);
+    diff_options.jobs = flags.jobs;
+    core::DiffEngine engine(program, impls, diff_options);
     auto diff = engine.runInput(input);
     std::printf("%s", diff.summary().c_str());
     if (!diff.divergent) {
         std::printf("\nThis input shows no instability. Try other "
-                    "inputs, or plug the program into the fuzzer "
-                    "(see examples/fuzz_packetdump.cpp).\n");
-        exportTelemetry(options);
+                    "inputs, or fuzz the program with --fuzz.\n");
         return 0;
     }
 
@@ -603,7 +306,7 @@ main(int argc, char **argv)
     // bridges to a same-class simulated member when one exists and
     // reports exactly which pair it aligned.
     auto pair = core::localizeAcross(
-        *program, engine.implementations(), diff, input);
+        program, engine.implementations(), diff, input);
     if (pair.attempted) {
         std::printf("\nroot-cause candidate (%s vs %s):\n  %s\n",
                     pair.implA.c_str(), pair.implB.c_str(),
@@ -614,6 +317,74 @@ main(int argc, char **argv)
         std::printf("\n(no root-cause candidate: %s)\n",
                     pair.note.c_str());
     }
-    exportTelemetry(options);
     return 1;
+}
+
+int
+run(int argc, char **argv)
+{
+    frontend::CampaignFlags flags;
+    std::string validate_json;
+    support::FlagTable table(
+        "compdiff_cli [options] [prog.mc [input-file]]", 2,
+        "With no program argument, analyzes a built-in demo program, "
+        "or the built-in sanlab target under --mode=sancheck. "
+        "Without --fuzz, sancheck mode classifies the input file, or "
+        "every seed when none is given, and prints the FN/FP matrix.");
+    flags.addFlags(table);
+    flags.addProcessFlags(table);
+    table.value("--validate-json", "F", &validate_json,
+                "check that F parses as JSON and exit");
+    const std::vector<std::string> args =
+        frontend::parseArgs(table, argc, argv);
+    if (!validate_json.empty())
+        return validateJson(validate_json);
+
+    support::QuietGuard quiet(flags.quiet);
+    flags.startTelemetry();
+    compiler::CompileCache::global().setLimits(
+        flags.cacheEntries, compiler::CompileCache::kDefaultMaxBytes);
+
+    const core::ImplementationSet impls = flags.implementations();
+    frontend::Subject fallback;
+    const char *note = "";
+    if (flags.target.empty() && args.empty() && flags.sancheck()) {
+        fallback.source = sancheck::sanlabSource();
+        fallback.seeds = sancheck::sanlabSeeds();
+        fallback.input = fallback.seeds.front();
+        note = "no program given; running the built-in sanlab target "
+               "(see DESIGN.md section 14)\n\n";
+    } else if (flags.target.empty() && args.empty()) {
+        fallback.source = kDemoProgram;
+        fallback.input = {10, 50}; // INT_MAX-10 + 50 overflows
+        note = "no program given; analyzing the built-in demo (see "
+               "--help)\n\n";
+    }
+    const frontend::Subject subject = flags.load(args, fallback);
+    std::fputs(note, stdout);
+    const auto program = minic::parseAndCheck(subject.source);
+
+    int status = 0;
+    if (flags.fuzz)
+        status = runCampaign(*program, impls, subject, flags);
+    else if (flags.sancheck() && args.size() > 1)
+        status = sweep(*program, impls, {subject.input}, flags);
+    else if (flags.sancheck())
+        status = sweep(*program, impls, subject.seeds, flags);
+    else
+        status = diffInput(*program, impls, subject.input, flags);
+    flags.exportTelemetry();
+    return status;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (...) {
+        return frontend::reportError();
+    }
 }

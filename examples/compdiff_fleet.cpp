@@ -10,225 +10,33 @@
  *
  * The same binary is both sides of the protocol: without `--worker`
  * it runs the coordinator (fleet::runFleet), which re-execs itself
- * with `--worker --worker-shards=...` per spawned worker. Workers
- * that die — crash, OOM-kill, kill -9 — are revived from their shard
- * checkpoints and the finished campaign's artifacts are
- * byte-identical to a single-process run (kill one and watch:
- * `kill -9 $(awk '/^pid/{print $3}' /tmp/fleet/shard-0.lease)`).
- *
- * Campaign flags (forwarded verbatim to workers):
- *   --target=NAME / prog.mc   what to fuzz (built-in target, or a
- *                             MiniC source file)
- *   --impls=SPECS             the oracle (default "paper10")
- *   --fuzz=N                  campaign budget in executions
- *   --shards=N                deterministic campaign shards (the
- *                             unit of distribution — use >= workers)
- *   --jobs=N                  threads per worker (never changes
- *                             results)
- *   --checkpoint-every=N      shard checkpoint cadence in execs
- *   --heartbeat-every=S       shard heartbeat cadence in seconds
- *   --sync-every=S            cross-worker corpus sync cadence in
- *                             seconds (0 = off; syncing trades the
- *                             bit-identity guarantee for coverage
- *                             sharing — see src/fleet/fleet.hh)
- *   --quiet                   silence warn()/inform() notices
- *
- * Coordinator flags:
- *   --workers=N               worker process slots (default 2);
- *                             elastic — rerun with a higher N and
- *                             late joiners pick up unleased shards
- *   --deadline=S              wall-clock budget: SIGTERM workers at
- *                             S seconds (they checkpoint and exit;
- *                             rerun the same command to continue)
- *   --poll-every=S            supervision poll interval (default .2)
- *   --status-every=S          print the aggregated monitor table
- *                             every S seconds (0 = off)
- *   --dead-after=S            heartbeat age that marks a worker hung
- *                             (SIGKILL + revive; default 30)
- *   --max-spawns=N            per-shard spawn cap (crash-loop brake)
- *   --reduce[=BUDGET]         triage divergences after completion
- *   --reports-out=DIR         bundle reduced divergences under DIR
+ * with its own arguments plus `--worker --worker-shards=...` per
+ * spawned worker. Workers that die — crash, OOM-kill, kill -9 — are
+ * revived from their shard checkpoints and the finished campaign's
+ * artifacts are byte-identical to a single-process run (kill one and
+ * watch: `kill -9 $(awk '/^pid/{print $3}' /tmp/fleet/shard-0.lease)`).
  *
  * Exit codes: 0 campaign complete and stable, 1 complete with
  * divergences, 2 usage/session error, 4 deadline hit (incomplete,
- * resumable).
+ * resumable). `--help` lists the flags.
  */
 
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "compdiff/implementation.hh"
 #include "fleet/fleet.hh"
+#include "frontend.hh"
 #include "minic/parser.hh"
 #include "obs/stats.hh"
 #include "support/logging.hh"
-#include "targets/targets.hh"
 
 namespace
 {
 
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-}
-
-const char *kUsage =
-    "usage: compdiff_fleet [options] [prog.mc]\n"
-    "\n"
-    "campaign (forwarded to workers):\n"
-    "  --target=NAME         fuzz a built-in target (pktdump, ...)\n"
-    "  --impls=SPECS         oracle specs or \"paper10\"/\"all\"\n"
-    "  --fuzz=N              campaign budget in executions\n"
-    "  --shards=N            deterministic shards (>= workers)\n"
-    "  --jobs=N              threads per worker\n"
-    "  --checkpoint-every=N  shard checkpoint cadence in execs\n"
-    "  --heartbeat-every=S   heartbeat cadence in seconds\n"
-    "  --sync-every=S        cross-worker corpus sync cadence\n"
-    "                        (0 = off; forfeits bit-identity)\n"
-    "  --session=DIR         session directory (required)\n"
-    "  --quiet               silence warn()/inform() notices\n"
-    "\n"
-    "coordinator:\n"
-    "  --workers=N           worker process slots (default 2)\n"
-    "  --deadline=S          wall-clock budget in seconds\n"
-    "  --poll-every=S        supervision poll interval\n"
-    "  --status-every=S      aggregated status table cadence\n"
-    "  --dead-after=S        heartbeat age marking a worker hung\n"
-    "  --max-spawns=N        per-shard spawn cap\n"
-    "  --reduce[=BUDGET]     triage divergences after completion\n"
-    "  --reports-out=DIR     bundle reduced divergences under DIR\n"
-    "  --help                show this text\n";
-
-struct FleetCli
-{
-    // Campaign identity (forwarded to workers verbatim).
-    std::string target;
-    std::string program;
-    std::string impls = "paper10";
-    std::uint64_t fuzzExecs = 20'000;
-    std::size_t shards = 1;
-    std::size_t jobs = 1;
-    std::uint64_t checkpointEvery = 0;
-    double heartbeatSecs = 1.0;
-    double syncSecs = 0;
-    std::string sessionDir;
-    bool quiet = false;
-
-    // Coordinator side.
-    std::size_t workers = 2;
-    double deadlineSecs = 0;
-    double pollSecs = 0.2;
-    double statusSecs = 0;
-    double deadAfterSecs = 30.0;
-    std::size_t maxSpawns = 64;
-    bool reduce = false;
-    std::uint64_t reduceBudget = 4096;
-    std::string reportsOut;
-
-    // Worker side.
-    bool worker = false;
-    compdiff::fleet::WorkerSpec spec;
-};
-
-bool
-matchFlag(const std::string &arg, const char *name,
-          std::string *value)
-{
-    const std::string prefix = std::string(name) + "=";
-    if (arg.rfind(prefix, 0) == 0) {
-        *value = arg.substr(prefix.size());
-        return true;
-    }
-    return false;
-}
-
-FleetCli
-parseArgs(int argc, char **argv)
-{
-    FleetCli options;
-    for (int i = 1; i < argc; i++) {
-        const std::string arg = argv[i];
-        std::string value;
-        if (arg == "--worker") {
-            options.worker = true;
-        } else if (compdiff::fleet::parseWorkerArg(arg,
-                                                   &options.spec)) {
-        } else if (matchFlag(arg, "--target", &value)) {
-            options.target = value;
-        } else if (matchFlag(arg, "--impls", &value)) {
-            options.impls = value;
-        } else if (matchFlag(arg, "--fuzz", &value)) {
-            options.fuzzExecs = static_cast<std::uint64_t>(
-                std::strtoull(value.c_str(), nullptr, 10));
-        } else if (matchFlag(arg, "--shards", &value)) {
-            options.shards = static_cast<std::size_t>(
-                std::strtoull(value.c_str(), nullptr, 10));
-        } else if (matchFlag(arg, "--jobs", &value)) {
-            options.jobs = static_cast<std::size_t>(
-                std::strtoull(value.c_str(), nullptr, 10));
-        } else if (matchFlag(arg, "--checkpoint-every", &value)) {
-            options.checkpointEvery = static_cast<std::uint64_t>(
-                std::strtoull(value.c_str(), nullptr, 10));
-        } else if (matchFlag(arg, "--heartbeat-every", &value)) {
-            options.heartbeatSecs =
-                std::strtod(value.c_str(), nullptr);
-        } else if (matchFlag(arg, "--sync-every", &value)) {
-            options.syncSecs = std::strtod(value.c_str(), nullptr);
-        } else if (matchFlag(arg, "--session", &value)) {
-            options.sessionDir = value;
-        } else if (arg == "--quiet") {
-            options.quiet = true;
-        } else if (matchFlag(arg, "--workers", &value)) {
-            options.workers = static_cast<std::size_t>(
-                std::strtoull(value.c_str(), nullptr, 10));
-        } else if (matchFlag(arg, "--deadline", &value)) {
-            options.deadlineSecs =
-                std::strtod(value.c_str(), nullptr);
-        } else if (matchFlag(arg, "--poll-every", &value)) {
-            options.pollSecs = std::strtod(value.c_str(), nullptr);
-        } else if (matchFlag(arg, "--status-every", &value)) {
-            options.statusSecs = std::strtod(value.c_str(), nullptr);
-        } else if (matchFlag(arg, "--dead-after", &value)) {
-            options.deadAfterSecs =
-                std::strtod(value.c_str(), nullptr);
-        } else if (matchFlag(arg, "--max-spawns", &value)) {
-            options.maxSpawns = static_cast<std::size_t>(
-                std::strtoull(value.c_str(), nullptr, 10));
-        } else if (arg == "--reduce") {
-            options.reduce = true;
-        } else if (matchFlag(arg, "--reduce", &value)) {
-            options.reduce = true;
-            options.reduceBudget = static_cast<std::uint64_t>(
-                std::strtoull(value.c_str(), nullptr, 10));
-        } else if (matchFlag(arg, "--reports-out", &value)) {
-            options.reportsOut = value;
-        } else if (arg == "--help") {
-            std::fputs(kUsage, stdout);
-            std::exit(0);
-        } else if (arg.rfind("--", 0) == 0) {
-            std::fprintf(stderr, "unknown option %s\n\n%s",
-                         arg.c_str(), kUsage);
-            std::exit(2);
-        } else if (options.program.empty()) {
-            options.program = arg;
-        } else {
-            std::fprintf(stderr, "unexpected argument %s\n\n%s",
-                         arg.c_str(), kUsage);
-            std::exit(2);
-        }
-    }
-    return options;
-}
+using namespace compdiff;
 
 /** This binary's path, for the worker re-exec. */
 std::string
@@ -244,54 +52,97 @@ selfExecutable(const char *argv0)
     return argv0;
 }
 
-/** Re-serialize the campaign flags for the worker command line. */
-std::vector<std::string>
-workerCommand(const FleetCli &options, const char *argv0)
+int
+run(int argc, char **argv)
 {
-    std::vector<std::string> command;
-    command.push_back(selfExecutable(argv0));
-    if (!options.target.empty())
-        command.push_back("--target=" + options.target);
-    else
-        command.push_back(options.program);
-    command.push_back("--impls=" + options.impls);
-    command.push_back("--fuzz=" +
-                      std::to_string(options.fuzzExecs));
-    command.push_back("--shards=" +
-                      std::to_string(options.shards));
-    command.push_back("--jobs=" + std::to_string(options.jobs));
-    command.push_back("--checkpoint-every=" +
-                      std::to_string(options.checkpointEvery));
-    command.push_back("--heartbeat-every=" +
-                      std::to_string(options.heartbeatSecs));
-    command.push_back("--sync-every=" +
-                      std::to_string(options.syncSecs));
-    command.push_back("--session=" + options.sessionDir);
-    if (options.quiet)
-        command.push_back("--quiet");
-    command.push_back("--worker");
-    return command;
-}
-
-compdiff::session::SessionConfig
-sessionConfig(const FleetCli &options)
-{
-    using namespace compdiff;
-    session::SessionConfig config;
-    config.dir = options.sessionDir;
-    config.checkpointEvery = options.checkpointEvery;
-    config.heartbeatSecs = options.heartbeatSecs;
-    config.fuzz.diffImpls =
-        core::ImplementationRegistry::global().parse(options.impls);
-    config.fuzz.maxExecs = options.fuzzExecs;
-    config.fuzz.jobs = options.jobs;
-    config.shards = options.shards;
-    config.jobs = options.jobs;
-    if (options.syncSecs > 0) {
-        config.syncPath = options.sessionDir + "/sync.journal";
-        config.syncSecs = options.syncSecs;
+    // The worker protocol's own arguments are the coordinator's
+    // business (fleet::workerArgs), not flags a user gives.
+    fleet::WorkerSpec spec;
+    std::vector<char *> user_args;
+    for (int i = 0; i < argc; i++) {
+        if (i == 0 || !fleet::parseWorkerArg(argv[i], &spec))
+            user_args.push_back(argv[i]);
     }
-    return config;
+
+    frontend::CampaignFlags flags;
+    fleet::FleetOptions fleet_options;
+    bool worker = false;
+    support::FlagTable table(
+        "compdiff_fleet [options] [prog.mc]", 1,
+        "Every flag is forwarded to the worker processes, which "
+        "re-exec this binary with --worker.");
+    flags.addFlags(table);
+    table.value("--sync-every", "S", &fleet_options.syncSecs,
+                "cross-worker corpus sync cadence in seconds (0 = off, "
+                "the default; syncing forfeits bit-identity)");
+    table.value("--workers", "N", &fleet_options.workers,
+                "worker process slots (default 2); rerun with a higher "
+                "N and late joiners pick up unleased shards",
+                frontend::kMaxParallelism);
+    table.value("--deadline", "S", &fleet_options.deadlineSecs,
+                "wall-clock budget: at S seconds workers checkpoint "
+                "and exit (rerun the same command to continue)");
+    table.value("--poll-every", "S", &fleet_options.pollSecs,
+                "supervision poll interval (default 0.2)");
+    table.value("--status-every", "S", &fleet_options.statusSecs,
+                "print the aggregated monitor table every S seconds "
+                "(0 = off)");
+    table.value("--dead-after", "S", &fleet_options.deadAfterSecs,
+                "heartbeat age that marks a worker hung: SIGKILL and "
+                "revive (default 30)");
+    table.value("--max-spawns", "N", &fleet_options.maxSpawnsPerShard,
+                "per-shard spawn cap, the crash-loop brake (default "
+                "64)");
+    table.flag("--worker", &worker,
+               "run as a worker of a coordinator (internal)");
+    const std::vector<std::string> args = frontend::parseArgs(
+        table, static_cast<int>(user_args.size()), user_args.data());
+    support::QuietGuard quiet(flags.quiet);
+
+    if (flags.sessionDir.empty())
+        throw support::UsageError("a fleet needs --session=DIR");
+    if (flags.target.empty() && args.empty())
+        throw support::UsageError(
+            "a fleet needs --target=NAME or a program file");
+    const frontend::Subject subject = flags.load(args, {});
+    const auto program = minic::parseAndCheck(subject.source);
+
+    session::SessionConfig config =
+        flags.sessionConfig(flags.implementations());
+    if (fleet_options.syncSecs > 0) {
+        config.syncPath = flags.sessionDir + "/sync.journal";
+        config.syncSecs = fleet_options.syncSecs;
+    }
+    if (worker)
+        return fleet::runWorker(*program, subject.seeds, config, spec);
+
+    fleet_options.workerCommand = {selfExecutable(argv[0])};
+    fleet_options.workerCommand.insert(
+        fleet_options.workerCommand.end(), user_args.begin() + 1,
+        user_args.end());
+    fleet_options.workerCommand.push_back("--worker");
+
+    const fleet::FleetResult result =
+        fleet::runFleet(*program, subject.seeds, config, fleet_options);
+    if (!result.completed) {
+        std::printf("fleet deadline reached after %zu spawns (%zu "
+                    "revivals); rerun the same command to continue "
+                    "from the checkpoints in %s\n",
+                    result.spawns, result.revivals,
+                    flags.sessionDir.c_str());
+        return 4;
+    }
+    std::printf("%s", obs::renderFuzzerStats(result.stats).c_str());
+    std::printf("\nfleet: %zu spawns, %zu revivals, %zu lease "
+                "conflicts, %zu unique divergences\n",
+                result.spawns, result.revivals, result.leaseConflicts,
+                result.result.diffs.size());
+    for (const auto &report : result.reports) {
+        std::printf("reduced %s: input %zu -> %zu bytes\n",
+                    reduce::signatureDirName(report.signature).c_str(),
+                    report.witnessInput.size(), report.input.size());
+    }
+    return result.result.diffs.empty() ? 0 : 1;
 }
 
 } // namespace
@@ -299,100 +150,9 @@ sessionConfig(const FleetCli &options)
 int
 main(int argc, char **argv)
 {
-    using namespace compdiff;
-
-    const FleetCli options = parseArgs(argc, argv);
-    support::QuietGuard quiet(options.quiet);
-
-    if (options.sessionDir.empty()) {
-        std::fprintf(stderr,
-                     "a fleet needs --session=DIR\n\n%s", kUsage);
-        return 2;
-    }
-
-    std::string source;
-    std::vector<support::Bytes> seeds;
-    if (!options.target.empty()) {
-        const targets::TargetProgram *target =
-            targets::findTarget(options.target);
-        if (!target) {
-            std::fprintf(stderr, "unknown target %s\n",
-                         options.target.c_str());
-            return 2;
-        }
-        source = target->source;
-        seeds = target->seeds;
-    } else if (!options.program.empty()) {
-        source = readFile(options.program);
-        if (source.empty()) {
-            std::fprintf(stderr, "cannot read %s\n",
-                         options.program.c_str());
-            return 2;
-        }
-    } else {
-        std::fprintf(stderr,
-                     "a fleet needs --target=NAME or a program "
-                     "file\n\n%s",
-                     kUsage);
-        return 2;
-    }
-
-    std::unique_ptr<minic::Program> program;
     try {
-        program = minic::parseAndCheck(source);
-    } catch (const support::CompileError &error) {
-        std::fprintf(stderr, "%s\n", error.what());
-        return 2;
-    }
-
-    if (options.worker)
-        return fleet::runWorker(*program, seeds,
-                                sessionConfig(options),
-                                options.spec);
-
-    session::SessionConfig config = sessionConfig(options);
-    config.triage.reduceFound = options.reduce;
-    config.triage.candidateBudget = options.reduceBudget;
-    config.triage.reportsDir = options.reportsOut;
-
-    fleet::FleetOptions fleet_options;
-    fleet_options.workers = options.workers;
-    fleet_options.workerCommand = workerCommand(options, argv[0]);
-    fleet_options.pollSecs = options.pollSecs;
-    fleet_options.deadlineSecs = options.deadlineSecs;
-    fleet_options.statusSecs = options.statusSecs;
-    fleet_options.syncSecs = options.syncSecs;
-    fleet_options.deadAfterSecs = options.deadAfterSecs;
-    fleet_options.maxSpawnsPerShard = options.maxSpawns;
-
-    try {
-        const fleet::FleetResult result =
-            fleet::runFleet(*program, seeds, config, fleet_options);
-        if (!result.completed) {
-            std::printf(
-                "fleet deadline reached after %zu spawns (%zu "
-                "revivals); rerun the same command to continue "
-                "from the checkpoints in %s\n",
-                result.spawns, result.revivals,
-                options.sessionDir.c_str());
-            return 4;
-        }
-        std::printf("%s", obs::renderFuzzerStats(result.stats)
-                              .c_str());
-        std::printf("\nfleet: %zu spawns, %zu revivals, %zu lease "
-                    "conflicts, %zu unique divergences\n",
-                    result.spawns, result.revivals,
-                    result.leaseConflicts, result.result.diffs.size());
-        for (const auto &report : result.reports) {
-            std::printf("reduced %s: input %zu -> %zu bytes\n",
-                        reduce::signatureDirName(report.signature)
-                            .c_str(),
-                        report.witnessInput.size(),
-                        report.input.size());
-        }
-        return result.result.diffs.empty() ? 0 : 1;
-    } catch (const session::SessionError &error) {
-        std::fprintf(stderr, "fleet error: %s\n", error.what());
-        return 2;
+        return run(argc, argv);
+    } catch (...) {
+        return frontend::reportError();
     }
 }

@@ -8,23 +8,8 @@
  * MANIFEST counts, so both a single `--session=DIR` run and a whole
  * targets-mode tree work), merges every shard's heartbeats, last
  * checkpoints, and event/divergence feeds into one campaign
- * snapshot, and renders it:
- *
- *   --format=table      aligned text table + summary (default)
- *   --format=json       one JSON document (machine-readable)
- *   --format=prom       Prometheus text-exposition format
- *   --watch[=SECS]      re-scan and re-render every SECS (default 2)
- *   --stall-after=SECS  heartbeat age that classifies a shard as
- *                       stalled (default 30)
- *   --dead-after=SECS   heartbeat age that classifies a shard as
- *                       dead (default 300)
- *   --no-pid-check      skip the kill(pid, 0) liveness probe (for
- *                       session trees copied from another host)
- *   --stable            omit wall-clock-derived fields (ages,
- *                       rates, run time, pids) so two scans of a
- *                       finished tree byte-compare equal
- *   --now=UNIX_SECS     classify against this reader clock instead
- *                       of the system clock (testing)
+ * snapshot, and renders it as a table, JSON or Prometheus text, once
+ * or on a `--watch` loop. `--help` lists the flags.
  *
  * Exit status: 0 on success, 1 when no session was found under any
  * root, 2 on usage errors. Scanning is read-only and crash-tolerant;
@@ -33,125 +18,45 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "frontend.hh"
 #include "monitor/monitor.hh"
 
 namespace
 {
 
-const char *kUsage =
-    "usage: compdiff_monitor [options] <session-root>...\n"
-    "\n"
-    "  --format=FMT        table (default), json, or prom\n"
-    "  --watch[=SECS]      poll and re-render every SECS "
-    "(default 2)\n"
-    "  --stall-after=SECS  stalled-shard heartbeat age "
-    "(default 30)\n"
-    "  --dead-after=SECS   dead-shard heartbeat age "
-    "(default 300)\n"
-    "  --no-pid-check      skip the kill(pid,0) liveness probe\n"
-    "  --stable            omit wall-clock-derived fields\n"
-    "  --now=UNIX_SECS     reader clock override (testing)\n"
-    "  --help              this text\n";
+using namespace compdiff;
 
 struct MonitorCli
 {
-    compdiff::monitor::MonitorOptions options;
+    monitor::MonitorOptions options;
     std::string format = "table";
     bool watch = false;
     double watchSecs = 2.0;
     std::vector<std::string> roots;
 };
 
-bool
-matchFlag(const std::string &arg, const char *name,
-          std::string *value)
-{
-    const std::string prefix = std::string(name) + "=";
-    if (arg.rfind(prefix, 0) == 0) {
-        *value = arg.substr(prefix.size());
-        return true;
-    }
-    return false;
-}
-
-MonitorCli
-parseArgs(int argc, char **argv)
-{
-    MonitorCli cli;
-    for (int i = 1; i < argc; i++) {
-        const std::string arg = argv[i];
-        std::string value;
-        if (matchFlag(arg, "--format", &value)) {
-            cli.format = value;
-        } else if (arg == "--watch") {
-            cli.watch = true;
-        } else if (matchFlag(arg, "--watch", &value)) {
-            cli.watch = true;
-            cli.watchSecs = std::strtod(value.c_str(), nullptr);
-            if (cli.watchSecs <= 0)
-                cli.watchSecs = 2.0;
-        } else if (matchFlag(arg, "--stall-after", &value)) {
-            cli.options.health.stallAfterSecs =
-                std::strtod(value.c_str(), nullptr);
-        } else if (matchFlag(arg, "--dead-after", &value)) {
-            cli.options.health.deadAfterSecs =
-                std::strtod(value.c_str(), nullptr);
-        } else if (arg == "--no-pid-check") {
-            cli.options.health.checkPid = false;
-        } else if (arg == "--stable") {
-            cli.options.stable = true;
-        } else if (matchFlag(arg, "--now", &value)) {
-            cli.options.nowUnix =
-                std::strtod(value.c_str(), nullptr);
-        } else if (arg == "--help") {
-            std::fputs(kUsage, stdout);
-            std::exit(0);
-        } else if (arg.rfind("--", 0) == 0) {
-            std::fprintf(stderr, "unknown option %s\n\n%s",
-                         arg.c_str(), kUsage);
-            std::exit(2);
-        } else {
-            cli.roots.push_back(arg);
-        }
-    }
-    if (cli.roots.empty()) {
-        std::fprintf(stderr, "no session root given\n\n%s",
-                     kUsage);
-        std::exit(2);
-    }
-    if (cli.format != "table" && cli.format != "json" &&
-        cli.format != "prom") {
-        std::fprintf(stderr, "unknown --format=%s\n\n%s",
-                     cli.format.c_str(), kUsage);
-        std::exit(2);
-    }
-    return cli;
-}
-
 /** One scan-and-render pass; returns the session count. */
 std::size_t
 renderOnce(const MonitorCli &cli)
 {
-    using namespace compdiff::monitor;
-    std::vector<SessionView> sessions;
+    std::vector<monitor::SessionView> sessions;
     for (const auto &root : cli.roots) {
-        auto found = scanTree(root, cli.options);
+        auto found = monitor::scanTree(root, cli.options);
         sessions.insert(sessions.end(),
                         std::make_move_iterator(found.begin()),
                         std::make_move_iterator(found.end()));
     }
     std::string out;
     if (cli.format == "json")
-        out = renderJson(sessions, cli.options);
+        out = monitor::renderJson(sessions, cli.options);
     else if (cli.format == "prom")
-        out = renderProm(sessions, cli.options);
+        out = monitor::renderProm(sessions, cli.options);
     else
-        out = renderTable(sessions, cli.options);
+        out = monitor::renderTable(sessions, cli.options);
     std::fputs(out.c_str(), stdout);
     if (!out.empty() && out.back() != '\n')
         std::fputc('\n', stdout);
@@ -159,12 +64,44 @@ renderOnce(const MonitorCli &cli)
     return sessions.size();
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
-    const MonitorCli cli = parseArgs(argc, argv);
+    MonitorCli cli;
+    session::HealthPolicy &health = cli.options.health;
+    support::FlagTable table(
+        "compdiff_monitor [options] <session-root>...", SIZE_MAX);
+    table.choice("--format", {"table", "json", "prom"}, &cli.format,
+                 "an aligned text table with a summary (default), "
+                 "one JSON document, or Prometheus text exposition");
+    table.optional("--watch", "SECS", &cli.watch, &cli.watchSecs,
+                   "re-scan and re-render every SECS seconds "
+                   "(default 2)");
+    table.value("--stall-after", "SECS", &health.stallAfterSecs,
+                "heartbeat age that classifies a shard as stalled "
+                "(default 30)");
+    table.value("--dead-after", "SECS", &health.deadAfterSecs,
+                "heartbeat age that classifies a shard as dead "
+                "(default 300)");
+    bool no_pid_check = false;
+    table.flag("--no-pid-check", &no_pid_check,
+               "skip the kill(pid, 0) liveness probe (for session "
+               "trees copied from another host)");
+    table.flag("--stable", &cli.options.stable,
+               "omit wall-clock-derived fields (ages, rates, run "
+               "time, pids) so two scans of a finished tree "
+               "byte-compare equal");
+    table.value("--now", "UNIX_SECS", &cli.options.nowUnix,
+                "classify against this reader clock instead of the "
+                "system clock (testing)");
+    cli.roots = frontend::parseArgs(table, argc, argv);
+    health.checkPid = !no_pid_check;
+    if (cli.roots.empty())
+        throw support::UsageError("no session root given\n\n" +
+                                  table.usage());
+    if (cli.watch && cli.watchSecs <= 0)
+        throw support::UsageError("--watch: SECS must be positive");
+
     if (!cli.watch)
         return renderOnce(cli) == 0 ? 1 : 0;
     for (;;) {
@@ -172,7 +109,19 @@ main(int argc, char **argv)
         // terminal (full clears make short tables blink).
         std::fputs("\033[H\033[2J", stdout);
         renderOnce(cli);
-        std::this_thread::sleep_for(std::chrono::duration<double>(
-            cli.watchSecs));
+        std::this_thread::sleep_for(
+            std::chrono::duration<double>(cli.watchSecs));
+    }
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (...) {
+        return frontend::reportError();
     }
 }

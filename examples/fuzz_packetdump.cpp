@@ -5,25 +5,17 @@
  * divergences back to their root causes and show a minimized
  * reproducer for each, like the bug reports the paper filed.
  *
- * Build & run:  ./build/examples/fuzz_packetdump [execs]
- *                   [--stats-dir=DIR] [--trace-out=FILE]
- *                   [--session=DIR] [--resume] [--halt-after=N]
- *                   [--checkpoint-every=N] [--shards=N] [--jobs=N]
+ * Build & run:  ./build/examples/fuzz_packetdump [options] [execs]
  *
- * --stats-dir writes AFL++-style fuzzer_stats/plot_data under
- * DIR/pktdump/; --trace-out writes Chrome-trace JSON of the whole
- * campaign (both enable the observability layer). --session runs
- * the campaign as a crash-safe session under DIR/pktdump/ —
- * interrupt it (or stop it early with --halt-after) and finish it
- * later with --resume; see DESIGN.md §10. --shards splits the
- * campaign into deterministic shards (part of the result identity);
- * --jobs only adds worker threads and never changes results.
+ * The campaign can write AFL++-style stats and a Chrome trace, run
+ * as a crash-safe session that is halted and resumed (DESIGN.md
+ * §10), and split into deterministic shards; `--help` lists the
+ * flags.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
+#include "frontend.hh"
 #include "obs/metrics.hh"
 #include "obs/stats.hh"
 #include "obs/trace.hh"
@@ -31,11 +23,14 @@
 #include "targets/campaign.hh"
 #include "targets/targets.hh"
 
-int
-main(int argc, char **argv)
+namespace
 {
-    using namespace compdiff;
 
+using namespace compdiff;
+
+int
+run(int argc, char **argv)
+{
     const targets::TargetProgram *target =
         targets::findTarget("pktdump");
     if (!target) {
@@ -47,34 +42,33 @@ main(int argc, char **argv)
     options.checkSanitizers = true;
     options.maxExecs = 12'000;
     std::string trace_out;
-    for (int i = 1; i < argc; i++) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--stats-dir=", 0) == 0) {
-            options.statsDir = arg.substr(std::strlen("--stats-dir="));
-        } else if (arg.rfind("--trace-out=", 0) == 0) {
-            trace_out = arg.substr(std::strlen("--trace-out="));
-        } else if (arg.rfind("--session=", 0) == 0) {
-            options.sessionDir = arg.substr(std::strlen("--session="));
-        } else if (arg == "--resume") {
-            options.resume = true;
-        } else if (arg.rfind("--halt-after=", 0) == 0) {
-            options.haltAfterExecs = static_cast<std::uint64_t>(
-                std::atoll(arg.c_str() +
-                           std::strlen("--halt-after=")));
-        } else if (arg.rfind("--checkpoint-every=", 0) == 0) {
-            options.checkpointEvery = static_cast<std::uint64_t>(
-                std::atoll(arg.c_str() +
-                           std::strlen("--checkpoint-every=")));
-        } else if (arg.rfind("--shards=", 0) == 0) {
-            options.shards = static_cast<std::size_t>(
-                std::atoll(arg.c_str() + std::strlen("--shards=")));
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            options.jobs = static_cast<std::size_t>(
-                std::atoll(arg.c_str() + std::strlen("--jobs=")));
-        } else {
-            options.maxExecs = static_cast<std::uint64_t>(
-                std::atoll(arg.c_str()));
-        }
+    support::FlagTable table("fuzz_packetdump [options] [execs]", 1,
+                             "execs: the campaign budget (default "
+                             "12000).");
+    table.value("--stats-dir", "DIR", &options.statsDir,
+                "fuzzer_stats and plot_data under DIR/pktdump/");
+    table.value("--trace-out", "FILE", &trace_out, "Chrome-trace JSON");
+    table.value("--session", "DIR", &options.sessionDir,
+                "crash-safe session under DIR/pktdump/");
+    table.flag("--resume", &options.resume, "continue the session");
+    table.value("--halt-after", "N", &options.haltAfterExecs,
+                "stop each shard at a safe point past N execs");
+    table.value("--checkpoint-every", "N", &options.checkpointEvery,
+                "checkpoint every N shard executions");
+    table.value("--shards", "N", &options.shards,
+                "deterministic campaign shards",
+                frontend::kMaxParallelism);
+    table.value("--jobs", "N", &options.jobs,
+                "worker threads (never changes results)",
+                frontend::kMaxParallelism);
+    const std::vector<std::string> args =
+        frontend::parseArgs(table, argc, argv);
+    if (!args.empty()) {
+        const auto execs = support::parseUnsigned(args[0]);
+        if (!execs)
+            throw support::UsageError(
+                args[0] + ": expected an unsigned execution budget");
+        options.maxExecs = *execs;
     }
     if (!options.statsDir.empty() || !trace_out.empty())
         obs::setEnabled(true);
@@ -115,9 +109,20 @@ main(int argc, char **argv)
     }
     if (!trace_out.empty()) {
         obs::writeTextFile(
-            trace_out,
-            obs::TraceRecorder::global().chromeTraceJson());
+            trace_out, obs::TraceRecorder::global().chromeTraceJson());
         std::printf("\ntrace written to %s\n", trace_out.c_str());
     }
     return result.found.empty() ? 1 : 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (...) {
+        return frontend::reportError();
+    }
 }

@@ -18,8 +18,42 @@ set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 
+# Run the `## Reproduce` command of a bundle's report.md as written,
+# in the bundle's directory, with compdiff_cli resolved to "$cli".
+reproduce() {
+    local report="$1" words
+    read -ra words <<< "$(sed -n '/^## Reproduce/,$p' "$report" |
+        grep -m1 '^compdiff_cli ' || true)"
+    if [ "${words[0]:-}" != compdiff_cli ]; then
+        echo "no reproduce command in $report" >&2
+        return 3
+    fi
+    (cd "$(dirname "$report")" && "$cli" "${words[@]:1}")
+}
+
+# usage_error MESSAGE COMMAND...: the command must exit 2 and print
+# MESSAGE. The timeout makes a command that wrongly starts an
+# unbounded campaign fail fast instead of hanging the smoke.
+usage_error() {
+    local message="$1" rc
+    shift
+    timeout 10 "$@" > "$tmp/usage_error.out" 2>&1 && rc=0 || rc=$?
+    if [ "$rc" -ne 2 ] ||
+        ! grep -qF -- "$message" "$tmp/usage_error.out"; then
+        echo "expected exit 2 and '$message' from: $*" >&2
+        cat "$tmp/usage_error.out" >&2
+        return 1
+    fi
+}
+
 smoke() {
-    local cli="$1"
+    local cli
+    cli="$(cd "$(dirname "$1")" && pwd)/$(basename "$1")"
+    local bin_dir monitor fleet packetdump
+    bin_dir="$(dirname "$cli")"
+    monitor="$bin_dir/compdiff_monitor"
+    fleet="$bin_dir/compdiff_fleet"
+    packetdump="$bin_dir/fuzz_packetdump"
     local tmp
     tmp="$(mktemp -d)"
     trap 'rm -rf "$tmp"' RETURN
@@ -77,10 +111,10 @@ smoke() {
             test -f "$bundle/input.bin"
             grep -q '^# Divergence report sig-' "$report"
             grep -q '^## Reproduce' "$report"
-            # Every minimized witness must still diverge when
-            # replayed in a fresh process.
-            "$cli" --quiet "$bundle/program.mc" "$bundle/input.bin" \
-                > "$tmp/replay.out" && rc=0 || rc=$?
+            # Every minimized witness must still diverge when its
+            # report's reproduce command runs in a fresh process.
+            reproduce "$report" > "$tmp/replay.out" 2>&1 &&
+                rc=0 || rc=$?
             if [ "$rc" -ne 1 ] ||
                 ! grep -q 'DIVERGENT' "$tmp/replay.out"; then
                 echo "replay of $bundle does not diverge:" >&2
@@ -112,6 +146,25 @@ smoke() {
     grep -q 'usage: compdiff_cli' "$tmp/usage.out"
     "$cli" --help > "$tmp/help.out"
     grep -q 'usage: compdiff_cli' "$tmp/help.out"
+    # Bad user input exits 2 with one line and starts no campaign.
+    printf 'int main() { print_int(input_byte(0)); return 0; }\n' \
+        > "$tmp/prog.mc"
+    usage_error '--jobs=-1: expected an unsigned' "$cli" --jobs=-1
+    usage_error '--fuzz=abc: expected an unsigned' "$cli" --fuzz=abc
+    usage_error '--fuzz=-1: expected an unsigned' "$cli" --fuzz=-1
+    usage_error "family 'bogus'" "$cli" --impls=bogus
+    usage_error "family 'bogus'" "$cli" --mode=sancheck --impls=bogus
+    usage_error "family 'bogus'" "$fleet" --impls=bogus --target=pktdump \
+        --session="$tmp/no_fleet"
+    usage_error 'no sanitizer' "$cli" --mode=sancheck --impls=gcc:-O2
+    usage_error 'cannot open directory' "$cli" --mode=sancheck --seeds=/none
+    usage_error 'cannot read /missing/in' "$cli" "$tmp/prog.mc" /missing/in
+    usage_error 'unexpected argument x' "$cli" "$tmp/prog.mc" /dev/null x
+    usage_error 'exclude each other' "$cli" --target=pktdump "$tmp/prog.mc"
+    usage_error 'unknown option --bogus' "$packetdump" --bogus
+    usage_error '--watch=abc: expected' "$monitor" --watch=abc "$tmp"
+    usage_error 'no larger than 256' "$cli" --jobs=257
+    usage_error 'no larger than 256' "$cli" --shards=257
 
     echo "== session smoke: interrupt-then-resume is bit-identical"
     # One uninterrupted pktdump campaign, and the same campaign run
@@ -153,7 +206,6 @@ smoke() {
     grep -q 'exact campaign configuration' "$tmp/sess_bad.out"
 
     echo "== monitor smoke: aggregate a finished sharded session tree"
-    monitor="$(dirname "$cli")/compdiff_monitor"
     "$cli" --quiet --target=pktdump --fuzz=1500 --shards=3 \
         --session="$tmp/mon/pkt" --checkpoint-every=200 \
         > "$tmp/mon.out" || test $? -eq 1
@@ -212,15 +264,15 @@ smoke() {
     # The flipped oracle (DESIGN.md §14): the fixed sweep over the
     # bundled sanlab target must surface exactly the four seeded
     # sanitizer defects (exit 1 = findings, by design).
-    sancheck="$(dirname "$cli")/compdiff_sancheck"
-    "$sancheck" --quiet > "$tmp/san_sweep.out" && rc=0 || rc=$?
+    "$cli" --mode=sancheck --quiet > "$tmp/san_sweep.out" &&
+        rc=0 || rc=$?
     test "$rc" -eq 1
     grep -q 'findings : 3 FN, 1 FP' "$tmp/san_sweep.out"
     grep -q 'FN x1 FP x1' "$tmp/san_sweep.out" # the -O2 UBSan defect
     # A short campaign rediscovers them, reduces each unique finding,
     # and writes sig-<hex>/ bundles naming the certified UB site and
     # the silent sanitizer.
-    "$sancheck" --quiet --fuzz=3000 --shards=2 \
+    "$cli" --mode=sancheck --quiet --fuzz=3000 --shards=2 \
         --session="$tmp/san_full" --reduce=300 \
         --reports-out="$tmp/san_reports" > "$tmp/san_full.out" \
         && rc=0 || rc=$?
@@ -236,22 +288,20 @@ smoke() {
     test -n "$msan_report"
     grep -q 'certified UB site' "$msan_report"
     grep -q 'silent' "$msan_report"
-    # The bundle's reproduce command still observes the finding
-    # (exit 1) on the minimized pair.
-    msan_bundle="$(dirname "$msan_report")"
-    "$sancheck" --quiet --program="$msan_bundle/program.mc" \
-        --input="$msan_bundle/input.bin" --impls=clang:-O1:msan \
-        > "$tmp/san_replay.out" && rc=0 || rc=$?
+    # The bundle's reproduce command, run as written, still
+    # observes the finding (exit 1) on the minimized pair.
+    reproduce "$msan_report" > "$tmp/san_replay.out" 2>&1 &&
+        rc=0 || rc=$?
     test "$rc" -eq 1
     grep -q 'uninit-read:FN' "$tmp/san_replay.out"
     # Halt at half budget, resume with a different job count: the
     # deterministic artifacts must match the uninterrupted session
     # byte-for-byte.
-    "$sancheck" --quiet --fuzz=3000 --shards=2 \
+    "$cli" --mode=sancheck --quiet --fuzz=3000 --shards=2 \
         --session="$tmp/san_cut" --halt-after=750 \
         > "$tmp/san_cut.out"
     grep -q 'session halted' "$tmp/san_cut.out"
-    "$sancheck" --quiet --fuzz=3000 --shards=2 --jobs=2 \
+    "$cli" --mode=sancheck --quiet --fuzz=3000 --shards=2 --jobs=2 \
         --session="$tmp/san_cut" --resume > /dev/null \
         || test $? -eq 1
     for s in 0 1; do
@@ -276,7 +326,6 @@ smoke() {
     # the reference byte-for-byte (the --stable monitor snapshot
     # compares the whole session tree in one shot; the two trees use
     # the same leaf name so labels line up).
-    fleet="$(dirname "$cli")/compdiff_fleet"
     "$cli" --quiet --target=pktdump --fuzz=4500 --shards=3 \
         --checkpoint-every=200 --session="$tmp/fleet_ref/pkt" \
         > /dev/null || test $? -eq 1

@@ -24,8 +24,17 @@ covered=(
     src/compiler/cache.cc
     src/fuzz/sharded.hh
     src/fuzz/sharded.cc
+    src/support/flags.hh
+    src/support/flags.cc
+    examples/frontend.hh
+    examples/frontend.cc
+    examples/compdiff_cli.cpp
+    examples/compdiff_fleet.cpp
+    examples/compdiff_monitor.cpp
+    examples/fuzz_packetdump.cpp
     tests/test_thread_pool.cc
     tests/test_parallel.cc
+    tests/test_flags.cc
 )
 
 if ! command -v clang-format > /dev/null 2>&1; then

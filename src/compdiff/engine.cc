@@ -1,5 +1,6 @@
 #include "compdiff/engine.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "compiler/cache.hh"
@@ -106,11 +107,16 @@ DiffEngine::DiffEngine(const minic::Program &program,
         executors_.push_back(impls_[i]->makeExecutor(
             std::move(artifacts[i]), options_.limits));
     }
+    // runRound hands the pool one task per implementation and runs
+    // tasks on the calling thread too, so more than k - 1 workers
+    // would only sit idle.
     const std::size_t jobs =
         options_.jobs == 0 ? support::ThreadPool::hardwareWorkers()
                            : options_.jobs;
-    if (jobs > 1)
-        pool_ = std::make_unique<support::ThreadPool>(jobs);
+    const std::size_t workers =
+        std::min(jobs, impls_.empty() ? 0 : impls_.size() - 1);
+    if (jobs > 1 && workers > 0)
+        pool_ = std::make_unique<support::ThreadPool>(workers);
 }
 
 DiffEngine::~DiffEngine() = default;

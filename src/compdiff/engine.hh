@@ -53,7 +53,9 @@ struct DiffOptions
      * (the seed behavior), 0 = one per hardware thread. Results are
      * bit-identical for every value — every observation lands in its
      * implementation's slot and nonces depend only on (nonce_base,
-     * implementation index), never on scheduling.
+     * implementation index), never on scheduling. The engine starts
+     * at most k - 1 threads whatever the value: the calling thread
+     * runs tasks too.
      */
     std::size_t jobs = 1;
     /**
@@ -243,7 +245,8 @@ class DiffEngine
     DiffOptions options_;
     /** Resident per-implementation workers, observation order. */
     std::vector<std::unique_ptr<Executor>> executors_;
-    /** Present only when jobs > 1. */
+    /** Present only when jobs > 1 and k > 1; min(jobs, k - 1)
+     *  workers. */
     std::unique_ptr<support::ThreadPool> pool_;
 };
 

@@ -217,10 +217,9 @@ renderFindingMarkdown(const FindingReport &report)
         os << "\n";
     os << "```\n\n";
 
-    os << "## Reproduce\n\n```\ncompdiff_sancheck --program=program.mc"
-          " --input=input.bin --impls="
-       << f.implId << "\n```\n\n";
-    os << "The binary exits 1 when the finding still reproduces.\n";
+    os << "## Reproduce\n\n```\ncompdiff_cli --mode=sancheck --impls="
+       << f.implId << " program.mc input.bin\n```\n\n";
+    os << "The CLI exits 1 when the finding still reproduces.\n";
     return os.str();
 }
 

@@ -12,8 +12,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <iterator>
 
 #include "compdiff/engine.hh"
+#include "compdiff/implementation.hh"
 #include "compiler/cache.hh"
 #include "compiler/config.hh"
 #include "fuzz/sharded.hh"
@@ -198,6 +201,30 @@ expectJobsInvariant(const minic::Program &program,
     // (execsPerSec stays 0 in the snapshot: exec-count time axis).
     EXPECT_EQ(obs::renderFuzzerStats(serial.statsSnapshot()),
               obs::renderFuzzerStats(threaded.statsSnapshot()));
+}
+
+TEST(ParallelEngine, PoolStartsAtMostKMinusOneThreads)
+{
+    // runRound hands the pool one task per implementation and the
+    // calling thread runs tasks too, so a k = 2 engine needs one
+    // worker however many jobs it is given.
+    const auto threads = [] {
+        return std::distance(
+            std::filesystem::directory_iterator("/proc/self/task"),
+            std::filesystem::directory_iterator());
+    };
+    auto program = minic::parseAndCheck(
+        "int main() { print_int(input_byte(0)); return 0; }");
+    DiffOptions options;
+    options.jobs = 8;
+    const auto before = threads();
+    DiffEngine engine(
+        *program,
+        core::ImplementationRegistry::global().parse(
+            "gcc:-O0,clang:-O2"),
+        options);
+    EXPECT_EQ(threads() - before, 1);
+    EXPECT_FALSE(engine.runInput({7}).divergent);
 }
 
 TEST(ShardedCampaign, BitIdenticalAcrossJobCounts)
