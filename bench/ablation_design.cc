@@ -18,10 +18,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 
 #include "compdiff/engine.hh"
+#include "frontend.hh"
 #include "juliet/suite.hh"
 #include "minic/parser.hh"
 #include "obs/stats.hh"
@@ -56,9 +56,8 @@ main(int argc, char **argv)
     using namespace compdiff;
     obs::BenchTelemetry telemetry("ablation_design");
 
-    double scale = 1.0 / 96;
-    if (argc > 1)
-        scale = std::atof(argv[1]);
+    const double scale = frontend::decimalArgument(
+        argc, argv, "ablation_design [juliet_scale]", 1.0 / 96);
 
     juliet::SuiteBuilder builder(scale);
     const auto cases = builder.buildAll();

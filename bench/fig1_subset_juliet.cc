@@ -9,9 +9,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "compdiff/subset.hh"
+#include "frontend.hh"
 #include "juliet/evaluate.hh"
 #include "juliet/suite.hh"
 #include "obs/stats.hh"
@@ -25,9 +25,8 @@ main(int argc, char **argv)
     obs::BenchTelemetry telemetry("fig1_subset_juliet");
     using support::format;
 
-    double scale = 1.0 / 24;
-    if (argc > 1)
-        scale = std::atof(argv[1]);
+    const double scale = frontend::decimalArgument(
+        argc, argv, "fig1_subset_juliet [scale]", 1.0 / 24);
 
     juliet::SuiteBuilder builder(scale);
     const auto cases = builder.buildAll();

@@ -8,9 +8,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "compdiff/subset.hh"
+#include "frontend.hh"
 #include "obs/stats.hh"
 #include "support/strings.hh"
 #include "support/table.hh"
@@ -26,9 +26,9 @@ main(int argc, char **argv)
     targets::CampaignOptions options;
     options.maxExecs = 10'000;
     options.checkSanitizers = false;
-    if (argc > 1)
-        options.maxExecs =
-            static_cast<std::uint64_t>(std::atoll(argv[1]));
+    options.maxExecs = frontend::unsignedArgument(
+        argc, argv, "fig2_subset_realworld [execs_per_target]",
+        options.maxExecs);
 
     const auto results = targets::runAllCampaigns(options);
     const auto impls = core::paper10Implementations();

@@ -8,9 +8,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "frontend.hh"
 #include "juliet/suite.hh"
 #include "obs/stats.hh"
 #include "support/table.hh"
@@ -21,9 +21,8 @@ main(int argc, char **argv)
     using namespace compdiff;
     obs::BenchTelemetry telemetry("table2_cwe_overview");
 
-    double scale = 1.0 / 16;
-    if (argc > 1)
-        scale = std::atof(argv[1]);
+    const double scale = frontend::decimalArgument(
+        argc, argv, "table2_cwe_overview [scale]", 1.0 / 16);
 
     juliet::SuiteBuilder builder(scale);
     support::TextTable table;

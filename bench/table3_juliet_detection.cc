@@ -10,8 +10,8 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "frontend.hh"
 #include "juliet/evaluate.hh"
 #include "juliet/suite.hh"
 #include "obs/stats.hh"
@@ -25,9 +25,8 @@ main(int argc, char **argv)
     obs::BenchTelemetry telemetry("table3_juliet_detection");
     using support::format;
 
-    double scale = 1.0 / 24;
-    if (argc > 1)
-        scale = std::atof(argv[1]);
+    const double scale = frontend::decimalArgument(
+        argc, argv, "table3_juliet_detection [scale]", 1.0 / 24);
 
     juliet::SuiteBuilder builder(scale);
     const auto cases = builder.buildAll();

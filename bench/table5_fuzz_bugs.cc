@@ -8,8 +8,8 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "frontend.hh"
 #include "obs/stats.hh"
 #include "support/table.hh"
 #include "targets/campaign.hh"
@@ -23,9 +23,9 @@ main(int argc, char **argv)
     targets::CampaignOptions options;
     options.maxExecs = 10'000;
     options.checkSanitizers = false;
-    if (argc > 1)
-        options.maxExecs =
-            static_cast<std::uint64_t>(std::atoll(argv[1]));
+    options.maxExecs = frontend::unsignedArgument(
+        argc, argv, "table5_fuzz_bugs [execs_per_target]",
+        options.maxExecs);
 
     std::printf("Table 5: bugs detected by CompDiff-AFL++ on %zu "
                 "targets (%llu execs per target)\n\n",

@@ -8,9 +8,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 
+#include "frontend.hh"
 #include "obs/stats.hh"
 #include "support/table.hh"
 #include "targets/campaign.hh"
@@ -25,9 +25,9 @@ main(int argc, char **argv)
     targets::CampaignOptions options;
     options.maxExecs = 10'000;
     options.checkSanitizers = true;
-    if (argc > 1)
-        options.maxExecs =
-            static_cast<std::uint64_t>(std::atoll(argv[1]));
+    options.maxExecs = frontend::unsignedArgument(
+        argc, argv, "table6_sanitizer_overlap [execs_per_target]",
+        options.maxExecs);
 
     const auto results = targets::runAllCampaigns(options);
 

@@ -153,14 +153,14 @@ CampaignFlags::sessionConfig(
     else
         config.fuzz.diffImpls = oracle;
     config.fuzz.maxExecs = fuzzExecs;
-    config.fuzz.statsOutPath = statsOut;
-    config.fuzz.plotOutPath = plotOut;
     config.fuzz.jobs = jobs;
     config.shards = shards;
     config.jobs = jobs;
     config.triage.reduceFound = reduce;
     config.triage.candidateBudget = reduceBudget;
     config.triage.reportsDir = reportsOut;
+    config.statsOutPath = statsOut;
+    config.plotOutPath = plotOut;
     return config;
 }
 
@@ -210,6 +210,54 @@ parseArgs(const support::FlagTable &table, int argc, char **argv)
         std::exit(0);
     }
     return std::move(parsed.positional);
+}
+
+namespace
+{
+
+/** argv's one optional argument through `parse`; see
+ *  unsignedArgument. */
+template <typename T, typename Parse>
+T
+soleArgument(int argc, char **argv, const std::string &synopsis,
+             T fallback, const char *expected, const Parse &parse)
+{
+    try {
+        const support::FlagTable table(synopsis, 1);
+        const std::vector<std::string> args =
+            parseArgs(table, argc, argv);
+        if (args.empty())
+            return fallback;
+        if (const auto value = parse(args[0]))
+            return *value;
+        throw support::UsageError(args[0] + ": expected " + expected);
+    } catch (...) {
+        std::exit(reportError());
+    }
+}
+
+} // namespace
+
+std::uint64_t
+unsignedArgument(int argc, char **argv, const std::string &synopsis,
+                 std::uint64_t fallback, std::uint64_t max)
+{
+    return soleArgument(argc, argv, synopsis, fallback,
+                        "an unsigned integer",
+                        [max](const std::string &text) {
+                            return support::parseUnsigned(text, max);
+                        });
+}
+
+double
+decimalArgument(int argc, char **argv, const std::string &synopsis,
+                double fallback)
+{
+    return soleArgument(argc, argv, synopsis, fallback,
+                        "a non-negative decimal",
+                        [](const std::string &text) {
+                            return support::parseSeconds(text);
+                        });
 }
 
 int

@@ -98,6 +98,21 @@ std::vector<std::string> parseArgs(const support::FlagTable &table,
                                    int argc, char **argv);
 
 /**
+ * The one optional argument of a table or walkthrough binary whose
+ * usage line is `synopsis`: an unsigned integer no larger than
+ * `max`, `fallback` when absent. `--help` prints the usage and exits
+ * 0; any other argument that is not such a value prints one line
+ * and exits 2.
+ */
+std::uint64_t unsignedArgument(int argc, char **argv,
+                               const std::string &synopsis,
+                               std::uint64_t fallback,
+                               std::uint64_t max = support::kNoCeiling);
+/** The same for a non-negative decimal such as a suite scale. */
+double decimalArgument(int argc, char **argv,
+                       const std::string &synopsis, double fallback);
+
+/**
  * The `catch (...)` body of every front end's main: an error in what
  * the user supplied (flags, files, programs, implementation specs,
  * session directories) prints one line and returns exit status 2.

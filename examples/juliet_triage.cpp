@@ -10,10 +10,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 
 #include "analysis/static_analyzer.hh"
 #include "compdiff/engine.hh"
+#include "frontend.hh"
 #include "juliet/evaluate.hh"
 #include "juliet/suite.hh"
 #include "minic/parser.hh"
@@ -26,7 +27,9 @@ main(int argc, char **argv)
 {
     using namespace compdiff;
 
-    const int cwe = argc > 1 ? std::atoi(argv[1]) : 457;
+    const int cwe = static_cast<int>(frontend::unsignedArgument(
+        argc, argv, "juliet_triage [cwe]", 457,
+        std::numeric_limits<int>::max()));
     juliet::SuiteBuilder builder(0.01);
     const auto cases = builder.buildCwe(cwe);
     if (cases.empty()) {

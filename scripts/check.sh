@@ -49,8 +49,9 @@ usage_error() {
 smoke() {
     local cli
     cli="$(cd "$(dirname "$1")" && pwd)/$(basename "$1")"
-    local bin_dir monitor fleet packetdump
+    local bin_dir bench_dir monitor fleet packetdump
     bin_dir="$(dirname "$cli")"
+    bench_dir="$bin_dir/../bench"
     monitor="$bin_dir/compdiff_monitor"
     fleet="$bin_dir/compdiff_fleet"
     packetdump="$bin_dir/fuzz_packetdump"
@@ -165,6 +166,11 @@ smoke() {
     usage_error '--watch=abc: expected' "$monitor" --watch=abc "$tmp"
     usage_error 'no larger than 256' "$cli" --jobs=257
     usage_error 'no larger than 256' "$cli" --shards=257
+    usage_error 'abc: expected an unsigned' \
+        "$bench_dir/table6_sanitizer_overlap" abc
+    usage_error 'abc: expected a non-negative decimal' \
+        "$bench_dir/table3_juliet_detection" abc
+    usage_error 'abc: expected an unsigned' "$bin_dir/juliet_triage" abc
 
     echo "== session smoke: interrupt-then-resume is bit-identical"
     # One uninterrupted pktdump campaign, and the same campaign run

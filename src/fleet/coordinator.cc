@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <map>
 #include <set>
-#include <sstream>
 #include <thread>
 
 #include "monitor/monitor.hh"
@@ -511,16 +510,8 @@ FleetResult runFleet(const minic::Program &program,
     // the finalize pass (and compdiff_monitor) read session stats.
     // Both fields are display-only and volatile-filtered everywhere
     // byte-identity is asserted.
-    {
-        std::ostringstream stats;
-        char buffer[64];
-        std::snprintf(buffer, sizeof(buffer), "%.3f",
-                      secsSince(start));
-        stats << "run_secs : " << buffer << "\n"
-              << "restarts : " << out.revivals << "\n";
-        session::atomicWriteFile(config.dir + "/session_stats",
-                                 stats.str());
-    }
+    session::writeSessionStats(config.dir, secsSince(start),
+                               out.revivals);
 
     // Finalize in-process: a plain resume restores every shard's
     // final checkpoint (each fuzzer's run() returns immediately at

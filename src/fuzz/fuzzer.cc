@@ -1,7 +1,6 @@
 #include "fuzz/fuzzer.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 
 #include "compiler/cache.hh"
@@ -299,7 +298,6 @@ FuzzStats
 Fuzzer::run()
 {
     obs::Span campaign_span("fuzz.campaign");
-    const auto wall_start = std::chrono::steady_clock::now();
     const std::uint64_t plot_every =
         options_.plotEvery
             ? options_.plotEvery
@@ -384,29 +382,10 @@ Fuzzer::run()
 
     // A halted campaign is abandoned mid-flight: its state was
     // checkpointed at the safe point, and the resumed process will
-    // take the final plot sample and write telemetry when the budget
-    // is actually exhausted.
-    if (haltedByHook_)
-        return stats_;
-    sample_plot();
-
-    if (!options_.statsOutPath.empty() ||
-        !options_.plotOutPath.empty()) {
-        auto snapshot = statsSnapshot();
-        const double secs =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - wall_start)
-                .count();
-        if (secs > 0)
-            snapshot.execsPerSec =
-                static_cast<double>(stats_.execs) / secs;
-        if (!options_.statsOutPath.empty()) {
-            obs::writeTextFile(options_.statsOutPath,
-                               obs::renderFuzzerStats(snapshot));
-        }
-        if (!options_.plotOutPath.empty())
-            obs::writeTextFile(options_.plotOutPath, plot_.str());
-    }
+    // take the final plot sample when the budget is actually
+    // exhausted.
+    if (!haltedByHook_)
+        sample_plot();
     return stats_;
 }
 

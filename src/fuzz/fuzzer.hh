@@ -24,7 +24,9 @@
  * The campaign is deterministic, so a restore followed by run()
  * reproduces an uninterrupted campaign bit for bit. Persistence (the
  * session directory, journaling, shard merge) lives one layer up in
- * src/session; the Fuzzer itself only snapshots and restores.
+ * src/session; the Fuzzer itself only snapshots and restores. So
+ * does every file: session::CampaignSession writes `fuzzer_stats`
+ * and `plot_data` from statsSnapshot() and plotData().
  */
 
 #include <cstdint>
@@ -110,8 +112,8 @@ struct FuzzOptions
      * campaign (DiffOptions::jobs): 1 = serial, 0 = hardware.
      * Campaign results are bit-identical for every value — threads
      * change wall-clock only, never observations (see DiffEngine).
-     * Shard-level parallelism is separate: see
-     * fuzz::runShardedCampaign.
+     * With several shards, planShards sets it to 1: the threads
+     * then run shards (fuzz/sharded.hh).
      */
     std::size_t jobs = 1;
 
@@ -155,21 +157,15 @@ struct FuzzOptions
     /** Mutations attempted per selected seed. */
     std::uint32_t energyBase = 16;
 
-    // --- telemetry export (AFL++'s fuzzer_stats / plot_data) ---
-    //
-    // Post-campaign triage (reduction, report bundles) is *not*
-    // configured here: session::TriageOptions is the single carrier
-    // for those knobs, and session::CampaignSession feeds the
-    // campaign's divergence records to reduce::Pipeline.
+    // Files and post-campaign triage are *not* configured here:
+    // session::SessionConfig carries the fuzzer_stats / plot_data
+    // paths and the triage knobs, and session::CampaignSession
+    // writes the files and feeds the divergence records to reduce::.
 
-    /** Where to write the final `fuzzer_stats` snapshot ("" = off). */
-    std::string statsOutPath;
-    /** Where to write the `plot_data` time series ("" = off). */
-    std::string plotOutPath;
     /**
      * Plot sampling interval in executions; 0 picks maxExecs/50.
-     * The series is collected either way (it is ~50 small rows) and
-     * is available through Fuzzer::plotData() without file I/O.
+     * The series (~50 small rows) is available through
+     * Fuzzer::plotData().
      */
     std::uint64_t plotEvery = 0;
 };
@@ -337,7 +333,7 @@ class Fuzzer
     /** Did the last run() stop early because the hook said so? */
     bool haltedByHook() const { return haltedByHook_; }
 
-    // --- shard-merge accessors (fuzz::runShardedCampaign) ---
+    // --- shard-merge accessors (fuzz::foldShards) ---
     /** Accumulated campaign coverage (merged across shards). */
     const vm::VirginMap &virginMap() const { return virgin_; }
     /** Divergence signature -> index into diffs(). */

@@ -1,11 +1,9 @@
 #include "fuzz/sharded.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 #include "support/hash.hh"
 #include "support/thread_pool.hh"
 #include "vm/coverage.hh"
@@ -77,10 +75,6 @@ planShards(const FuzzOptions &options,
         // oversubscribe the pool.
         if (count > 1)
             plan.options.jobs = 1;
-        // Campaign-level telemetry is written by the driver, never
-        // by the shards themselves.
-        plan.options.statsOutPath.clear();
-        plan.options.plotOutPath.clear();
         for (std::size_t i = s; i < seeds.size(); i += count)
             plan.seeds.push_back(seeds[i]);
         plans.push_back(std::move(plan));
@@ -92,19 +86,10 @@ void
 runShardFuzzers(std::vector<std::unique_ptr<Fuzzer>> &fuzzers,
                 std::size_t jobs)
 {
-    // Shards share no mutable state: run them on the pool (or
-    // inline). Results depend on the shard count only.
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(fuzzers.size());
-    for (auto &fuzzer : fuzzers)
-        tasks.push_back([&fuzzer] { fuzzer->run(); });
-    if (jobs > 1 && fuzzers.size() > 1) {
-        support::ThreadPool pool(std::min(jobs, fuzzers.size()));
-        pool.runAll(std::move(tasks));
-    } else {
-        for (auto &task : tasks)
-            task();
-    }
+    // Shards share no mutable state: results depend on the shard
+    // count only.
+    support::runIndexed(fuzzers.size(), jobs,
+                        [&](std::size_t s) { fuzzers[s]->run(); });
 }
 
 ShardedResult
@@ -181,49 +166,6 @@ writeShardPlots(const std::vector<std::unique_ptr<Fuzzer>> &fuzzers,
         obs::writeTextFile(plotPath + ".shard" + std::to_string(s),
                            fuzzers[s]->plotData().str());
     }
-}
-
-ShardedResult
-runShardedCampaign(const minic::Program &program,
-                   const std::vector<Bytes> &seeds,
-                   FuzzOptions options, std::size_t shards,
-                   std::size_t jobs)
-{
-    obs::Span span("fuzz.shardedCampaign");
-    const auto wall_start = std::chrono::steady_clock::now();
-
-    const std::string stats_path = options.statsOutPath;
-    const std::string plot_path = options.plotOutPath;
-
-    const auto plans = planShards(options, seeds, shards);
-    std::vector<std::unique_ptr<Fuzzer>> fuzzers;
-    fuzzers.reserve(plans.size());
-    for (const auto &plan : plans) {
-        // Construction compiles the shard's binaries — serially,
-        // here, so all shards share the CompileCache warm-up.
-        fuzzers.push_back(std::make_unique<Fuzzer>(
-            program, plan.seeds, plan.options));
-    }
-
-    runShardFuzzers(fuzzers, jobs);
-    ShardedResult result = foldShards(fuzzers);
-
-    if (!stats_path.empty() || !plot_path.empty()) {
-        auto snapshot = result.statsSnapshot();
-        const double secs =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - wall_start)
-                .count();
-        if (secs > 0)
-            snapshot.execsPerSec =
-                static_cast<double>(result.total.execs) / secs;
-        if (!stats_path.empty()) {
-            obs::writeTextFile(stats_path,
-                               obs::renderFuzzerStats(snapshot));
-        }
-        writeShardPlots(fuzzers, plot_path);
-    }
-    return result;
 }
 
 } // namespace compdiff::fuzz

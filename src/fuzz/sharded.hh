@@ -2,7 +2,8 @@
 
 /**
  * @file
- * Sharded fuzz campaigns (AFL++'s -M/-S instance model, in-process).
+ * Sharded fuzz campaigns (AFL++'s -M/-S instance model, in-process):
+ * the plan / run / fold stages session::CampaignSession drives.
  *
  * A sharded campaign splits one fuzzing budget into S independent
  * sub-campaigns ("shards"). Each shard owns everything it mutates —
@@ -23,11 +24,10 @@
  * This mirrors AFL++, where the number of -S instances shapes the
  * campaign but the machine's core count does not.
  *
- * The run is decomposed into plan / run / fold stages so that
- * session::CampaignSession can own the per-shard Fuzzers between the
- * stages — restoring checkpoints into them before the run and
- * journaling their state during it — while one-shot callers keep the
- * single runShardedCampaign() entry point.
+ * The stages are separate so that the session can own the per-shard
+ * Fuzzers between them: it restores checkpoints into them before the
+ * run, journals their state during it, and writes the campaign's
+ * files after the fold. There is no other campaign driver.
  */
 
 #include <cstddef>
@@ -74,9 +74,7 @@ struct ShardedResult
  * options.rngSeed (shards=1 therefore reproduces a plain Fuzzer run
  * exactly); shard s>0 mixes s into the seed. With several shards the
  * per-shard oracle runs serially (jobs forced to 1) — the thread
- * budget belongs to the shard level. Campaign-level telemetry paths
- * are cleared from the shard options: whoever drives the shards
- * writes the merged files.
+ * budget belongs to the shard level.
  */
 std::vector<ShardPlan>
 planShards(const FuzzOptions &options,
@@ -85,8 +83,9 @@ planShards(const FuzzOptions &options,
 
 /**
  * Run the shard fuzzers to completion (or until their iteration
- * hooks halt them) on up to `jobs` worker threads. Shards share no
- * mutable state, so the thread count cannot change any result.
+ * hooks halt them) on up to `jobs` threads (0 = one per hardware
+ * thread; see support::runIndexed). Shards share no mutable state,
+ * so the thread count cannot change any result.
  */
 void runShardFuzzers(std::vector<std::unique_ptr<Fuzzer>> &fuzzers,
                      std::size_t jobs);
@@ -107,21 +106,5 @@ foldShards(const std::vector<std::unique_ptr<Fuzzer>> &fuzzers);
 void
 writeShardPlots(const std::vector<std::unique_ptr<Fuzzer>> &fuzzers,
                 const std::string &plotPath);
-
-/**
- * Run one campaign as `shards` deterministic sub-campaigns on up to
- * `jobs` worker threads: planShards + construct + runShardFuzzers +
- * foldShards, plus campaign-level telemetry (options.statsOutPath
- * receives the merged snapshot; options.plotOutPath one series per
- * shard, see writeShardPlots).
- *
- * Post-campaign triage is not performed here: wrap the campaign in a
- * session::CampaignSession to reduce and report what it found.
- */
-ShardedResult
-runShardedCampaign(const minic::Program &program,
-                   const std::vector<support::Bytes> &seeds,
-                   FuzzOptions options, std::size_t shards,
-                   std::size_t jobs = 1);
 
 } // namespace compdiff::fuzz

@@ -10,9 +10,10 @@
  * undebuggable without them, so the reproduction mirrors both:
  *
  *   - FuzzerStatsSnapshot: the snapshot structure filled by
- *     fuzz::Fuzzer (and, per target, by targets::runCampaign), with
- *     a renderer and a parser (the parser keeps tests and external
- *     tooling honest about the format).
+ *     fuzz::Fuzzer and folded over shards by fuzz::ShardedResult,
+ *     with a renderer and a parser (the parser keeps tests and
+ *     external tooling honest about the format). Campaign files are
+ *     written by session::CampaignSession alone.
  *   - PlotWriter: the time-series accumulator. The time axis is the
  *     execution count, not wall-clock — campaigns must stay
  *     deterministic, and the paper's own overhead discussion is

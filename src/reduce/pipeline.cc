@@ -6,9 +6,6 @@
 #include "minic/printer.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "reduce/input_reducer.hh"
-#include "reduce/oracle.hh"
-#include "reduce/program_reducer.hh"
 #include "sanitizers/sanitizers.hh"
 #include "semdiff/canon.hh"
 #include "semdiff/slice.hh"
@@ -21,6 +18,34 @@
 
 namespace compdiff::reduce
 {
+
+ShrunkWitness
+shrinkWitness(Oracle &oracle, const minic::Program &program,
+              const support::Bytes &input)
+{
+    ShrunkWitness shrunk;
+    shrunk.inputStats = reduceInput(oracle, program, input);
+    shrunk.programStats =
+        reduceProgram(oracle, minic::printProgram(program),
+                      shrunk.inputStats.reduced);
+    // reduceProgram keeps a program whose printed form does not parse
+    // unreduced; the original AST then stands in for it.
+    try {
+        shrunk.reparsed =
+            minic::parseAndCheck(shrunk.programStats.source);
+    } catch (const support::CompileError &) {
+    }
+    const InputReduction second = reduceInput(
+        oracle, shrunk.reparsed ? *shrunk.reparsed : program,
+        shrunk.inputStats.reduced);
+    InputReduction &stats = shrunk.inputStats;
+    stats.reduced = second.reduced;
+    stats.candidatesTried += second.candidatesTried;
+    stats.candidatesAccepted += second.candidatesAccepted;
+    stats.bytesRemoved += second.bytesRemoved;
+    stats.bytesNormalized += second.bytesNormalized;
+    return shrunk;
+}
 
 namespace
 {
@@ -63,31 +88,14 @@ reduceOne(const minic::Program &program,
     }
 
     report.signature = oracle.targetSignature();
-    report.inputStats = reduceInput(oracle, program, witness.input);
+    ShrunkWitness shrunk =
+        shrinkWitness(oracle, program, witness.input);
+    report.inputStats = std::move(shrunk.inputStats);
+    report.programStats = std::move(shrunk.programStats);
     report.input = report.inputStats.reduced;
-    report.programStats = reduceProgram(
-        oracle, minic::printProgram(program), report.input);
     report.program = report.programStats.source;
-
-    // A shrunken program usually reads less input, so one more input
-    // pass against the minimized program drops bytes only the
-    // original program consumed.
-    // reduceProgram keeps a program whose printed form does not parse
-    // unreduced; the original AST then stands in for it.
-    std::unique_ptr<minic::Program> reparsed;
-    try {
-        reparsed = minic::parseAndCheck(report.program);
-    } catch (const support::CompileError &) {
-    }
-    const minic::Program &minimized = reparsed ? *reparsed : program;
-    const InputReduction second =
-        reduceInput(oracle, minimized, report.input);
-    report.input = second.reduced;
-    report.inputStats.reduced = second.reduced;
-    report.inputStats.candidatesTried += second.candidatesTried;
-    report.inputStats.candidatesAccepted += second.candidatesAccepted;
-    report.inputStats.bytesRemoved += second.bytesRemoved;
-    report.inputStats.bytesNormalized += second.bytesNormalized;
+    const minic::Program &minimized =
+        shrunk.reparsed ? *shrunk.reparsed : program;
 
     // Re-derive the final artifacts from the minimized pair: the
     // diff (for the report's class listing), the localization, and
@@ -147,21 +155,11 @@ reduceAndReport(const minic::Program &program,
 
     // One oracle per witness, fixed result slots: jobs affects only
     // scheduling, never what any slot contains.
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(witnesses.size());
-    for (std::size_t i = 0; i < witnesses.size(); i++) {
-        tasks.push_back([&, i] {
+    support::runIndexed(
+        witnesses.size(), options.jobs, [&](std::size_t i) {
             reports[i] =
                 reduceOne(program, impls, witnesses[i], options);
         });
-    }
-    if (options.jobs == 1 || witnesses.size() == 1) {
-        for (auto &task : tasks)
-            task();
-    } else {
-        support::ThreadPool pool(options.jobs);
-        pool.runAll(std::move(tasks));
-    }
 
     obs::counter("reduce.witnesses")
         .add(static_cast<std::uint64_t>(witnesses.size()));

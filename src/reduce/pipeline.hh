@@ -6,13 +6,15 @@
  * bundles out.
  *
  * For each distinct-signature witness a campaign surfaced, the
- * pipeline builds one SignatureOracle, runs input reduction (ddmin
- * over the witness bytes) followed by program reduction (AST
- * shrinking against the already-minimized input), re-localizes the
+ * pipeline builds one SignatureOracle, shrinks the witness with
+ * shrinkWitness (input ddmin, then AST shrinking against the
+ * minimized input, then one more input pass), re-localizes the
  * minimized divergence with localizeAcross, slices the aligned pair
  * down to the first divergent instruction (semdiff), checks the
  * three sanitizers on the minimized pair, and bundles everything
- * via writeMergedReport.
+ * via writeMergedReport. The sanitizer-checking pipeline
+ * (sancheck::reduceFindings) shrinks its findings with the same
+ * shrinkWitness and spreads them over threads the same way.
  *
  * Bundling is two-tier: the campaign deduplicated witnesses by fuzz
  * signature (tier 1); the write phase here groups the reduced
@@ -20,8 +22,8 @@
  * x behavior signature — tier 2) and files each group as ONE
  * merged bundle carrying every witness (`variants/` subdirs).
  *
- * Determinism: witnesses are reduced in input order into indexed
- * result slots on a support::ThreadPool, each reduction owns its own
+ * Determinism: witnesses are reduced into indexed result slots by
+ * support::runIndexed, each reduction owns its own
  * oracle with a fixed nonce, and report writing happens serially
  * afterwards with groups ordered by key and variants sorted by
  * minimized content — so the produced bundles are bit-identical for
@@ -31,12 +33,16 @@
  */
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "compdiff/engine.hh"
 #include "compdiff/implementation.hh"
 #include "minic/ast.hh"
+#include "reduce/input_reducer.hh"
+#include "reduce/oracle.hh"
+#include "reduce/program_reducer.hh"
 #include "reduce/report.hh"
 #include "session/records.hh"
 #include "support/bytes.hh"
@@ -72,6 +78,27 @@ struct ReduceOptions
     /** When non-empty, write report bundles under this directory. */
     std::string reportsDir;
 };
+
+/** What shrinkWitness made of one witness. */
+struct ShrunkWitness
+{
+    /** Both input passes summed; `reduced` is the final input. */
+    InputReduction inputStats;
+    ProgramReduction programStats;
+    /** programStats.source parsed again; null when it does not
+     *  parse, and the original AST then stands for it. */
+    std::unique_ptr<minic::Program> reparsed;
+};
+
+/**
+ * The one shrink sequence of both triage pipelines: ddmin `input`,
+ * reduce `program` against the result, reparse it, and run a second
+ * input pass against it (a shrunken program usually reads less
+ * input). `oracle`'s budget bounds the whole sequence.
+ */
+ShrunkWitness shrinkWitness(Oracle &oracle,
+                            const minic::Program &program,
+                            const support::Bytes &input);
 
 /**
  * Reduce every witness and (optionally) write report bundles.

@@ -4,6 +4,7 @@
 #include <iomanip>
 #include <sstream>
 
+#include "obs/events.hh"
 #include "obs/stats.hh"
 #include "support/logging.hh"
 
@@ -13,13 +14,7 @@ namespace compdiff::reduce
 namespace
 {
 
-std::string
-hex64(std::uint64_t value)
-{
-    std::ostringstream os;
-    os << std::hex << std::setfill('0') << std::setw(16) << value;
-    return os.str();
-}
+using obs::hex16;
 
 std::string
 percent(std::size_t before, std::size_t after)
@@ -39,7 +34,7 @@ percent(std::size_t before, std::size_t after)
 std::string
 signatureDirName(std::uint64_t signature)
 {
-    return "sig-" + hex64(signature);
+    return "sig-" + hex16(signature);
 }
 
 namespace
@@ -77,11 +72,11 @@ renderMarkdownBody(const DivergenceReport &report,
               "carries the original un-reduced witness. The "
               "divergence below is the campaign observation.\n\n";
     }
-    os << "- semantic key: `" << hex64(report.semanticKey)
+    os << "- semantic key: `" << hex16(report.semanticKey)
        << "` (canonical form `"
-       << hex64(report.canonicalFingerprint)
+       << hex16(report.canonicalFingerprint)
        << "` x behavior signature)\n";
-    os << "- divergence signature: `" << hex64(report.signature)
+    os << "- divergence signature: `" << hex16(report.signature)
        << "`\n";
     os << "- behavior classes: " << report.diff.classCount << " across "
        << report.diff.observations.size() << " implementations\n";
@@ -106,7 +101,7 @@ renderMarkdownBody(const DivergenceReport &report,
     }
     for (const auto &obs : report.diff.observations) {
         os << "- `" << obs.impl << "`: exit `" << obs.exitClass
-           << "`, output hash `" << hex64(obs.hash) << "`\n";
+           << "`, output hash `" << hex16(obs.hash) << "`\n";
     }
     os << "\n";
 
@@ -192,7 +187,7 @@ renderMarkdownBody(const DivergenceReport &report,
               "input bytes |\n";
         os << "|---|---|---|---|\n";
         for (std::size_t k = 0; k < variants.size(); k++) {
-            os << "| v" << k << " | `" << hex64(variants[k]->signature)
+            os << "| v" << k << " | `" << hex16(variants[k]->signature)
                << "` | " << variants[k]->program.size() << " | "
                << variants[k]->input.size() << " |\n";
         }

@@ -1,13 +1,13 @@
 #include "sancheck/report.hh"
 
-#include <iomanip>
 #include <sstream>
 
-#include "minic/parser.hh"
 #include "minic/printer.hh"
+#include "obs/events.hh"
 #include "obs/metrics.hh"
 #include "obs/stats.hh"
 #include "obs/trace.hh"
+#include "reduce/pipeline.hh"
 #include "reduce/report.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
@@ -15,19 +15,6 @@
 
 namespace compdiff::sancheck
 {
-
-namespace
-{
-
-std::string
-hex64(std::uint64_t value)
-{
-    std::ostringstream os;
-    os << std::hex << std::setfill('0') << std::setw(16) << value;
-    return os.str();
-}
-
-} // namespace
 
 SanFindingOracle::SanFindingOracle(const minic::Program &program,
                                    core::ImplementationSet impls,
@@ -110,28 +97,18 @@ reduceOneFinding(const minic::Program &program,
         return report;
     }
 
-    report.inputStats = reduce::reduceInput(oracle, program,
-                                            witness.input);
+    reduce::ShrunkWitness shrunk =
+        reduce::shrinkWitness(oracle, program, witness.input);
+    report.inputStats = std::move(shrunk.inputStats);
+    report.programStats = std::move(shrunk.programStats);
     report.input = report.inputStats.reduced;
-    report.programStats = reduce::reduceProgram(
-        oracle, minic::printProgram(program), report.input);
     report.program = report.programStats.source;
-
-    // One more input pass against the minimized program drops bytes
-    // only the original program consumed.
-    auto minimized = minic::parseAndCheck(report.program);
-    const reduce::InputReduction second =
-        reduce::reduceInput(oracle, *minimized, report.input);
-    report.input = second.reduced;
-    report.inputStats.reduced = second.reduced;
-    report.inputStats.candidatesTried += second.candidatesTried;
-    report.inputStats.candidatesAccepted += second.candidatesAccepted;
-    report.inputStats.bytesRemoved += second.bytesRemoved;
-    report.inputStats.bytesNormalized += second.bytesNormalized;
+    const minic::Program &minimized =
+        shrunk.reparsed ? *shrunk.reparsed : program;
 
     // Re-derive the certified run and the finding details from the
     // minimized pair: the report describes what is filed.
-    SanCheckOracle engine(*minimized, impls, options.limits);
+    SanCheckOracle engine(minimized, impls, options.limits);
     Outcome outcome = engine.runInput(report.input, 0);
     report.certified = std::move(outcome.certified);
     for (const SanFinding &found : outcome.findings) {
@@ -162,7 +139,7 @@ renderFindingMarkdown(const FindingReport &report)
               "campaign classification below.\n\n";
     }
     os << "- signature: `" << f.signature() << "` (`"
-       << hex64(f.signatureHash()) << "`)\n";
+       << obs::hex16(f.signatureHash()) << "`)\n";
     os << "- verdict: **"
        << (f.kind == FindingKind::FalseNegative ? "false negative"
                                                 : "false positive")
@@ -253,21 +230,11 @@ reduceFindings(const minic::Program &program,
     if (witnesses.empty())
         return reports;
 
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(witnesses.size());
-    for (std::size_t i = 0; i < witnesses.size(); i++) {
-        tasks.push_back([&, i] {
+    support::runIndexed(
+        witnesses.size(), options.jobs, [&](std::size_t i) {
             reports[i] = reduceOneFinding(program, impls,
                                           witnesses[i], options);
         });
-    }
-    if (options.jobs == 1 || witnesses.size() == 1) {
-        for (auto &task : tasks)
-            task();
-    } else {
-        support::ThreadPool pool(options.jobs);
-        pool.runAll(std::move(tasks));
-    }
 
     obs::counter("sancheck.reduce.witnesses")
         .add(static_cast<std::uint64_t>(witnesses.size()));

@@ -4,19 +4,19 @@
  * @file
  * Sancheck finding reduction + bundling.
  *
- * Mirrors the divergence pipeline (src/reduce): each distinct-
- * signature finding witness gets its own budgeted oracle, the
- * existing ddmin input reducer and AST program shrinker run against
- * it unchanged (they only see reduce::Oracle), and the result is
- * bundled under `<outDir>/sig-<hex>/` — program.mc, input.bin,
- * witness.bin, report.md — where the hex is the finding's signature
- * hash. The report names the certified UB site and the silent or
- * mis-firing sanitizer, the shape the acceptance criteria pin.
+ * Rides on the divergence pipeline (src/reduce): each distinct-
+ * signature finding witness gets its own budgeted oracle, which
+ * reduce::shrinkWitness drives unchanged (it only sees
+ * reduce::Oracle), and the result is bundled under
+ * `<outDir>/sig-<hex>/` — program.mc, input.bin, witness.bin,
+ * report.md — where the hex is the finding's signature hash. The
+ * report names the certified UB site and the silent or mis-firing
+ * sanitizer.
  *
- * Determinism: witnesses reduce in input order into fixed result
- * slots, every oracle runs its sancheck engine serially under nonce
- * 0, and bundles are written serially afterwards — bit-identical for
- * any `jobs`.
+ * Determinism: witnesses reduce into fixed result slots through
+ * support::runIndexed, every oracle runs its sancheck engine
+ * serially under nonce 0, and bundles are written serially
+ * afterwards — bit-identical for any `jobs`.
  */
 
 #include <cstdint>
@@ -50,7 +50,8 @@ struct FindingReduceOptions
     vm::VmLimits limits;
     /** Max oracle evaluations per witness. */
     std::uint64_t candidateBudget = 4096;
-    /** Concurrent reductions; never changes results. */
+    /** Concurrent reductions: 1 = serial, 0 = one per hardware
+     *  thread. Never changes results. */
     std::size_t jobs = 1;
     /** When non-empty, write bundles under this directory. */
     std::string reportsDir;

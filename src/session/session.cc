@@ -28,13 +28,17 @@ namespace
 
 constexpr std::uint32_t kSessionFormatVersion = 1;
 
-std::string
-hex64(std::uint64_t value)
+/** The signature a `reduced` ops event names. */
+std::uint64_t
+reportSignature(const reduce::DivergenceReport &report)
 {
-    char buf[20];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(value));
-    return buf;
+    return report.signature;
+}
+
+std::uint64_t
+reportSignature(const sancheck::FindingReport &report)
+{
+    return report.finding.signatureHash();
 }
 
 // --- shard event derivation -------------------------------------
@@ -239,7 +243,8 @@ CampaignSession::renderManifest() const
 {
     std::ostringstream os;
     os << "format_version : " << kSessionFormatVersion << "\n";
-    os << "fingerprint : " << hex64(campaignFingerprint()) << "\n";
+    os << "fingerprint : " << obs::hex16(campaignFingerprint())
+       << "\n";
     os << "shards : " << std::max<std::size_t>(config_.shards, 1)
        << "\n";
     os << "max_execs : " << config_.fuzz.maxExecs << "\n";
@@ -303,7 +308,7 @@ CampaignSession::validateManifest(const std::string &text) const
            std::to_string(std::max<std::size_t>(config_.shards, 1)));
     expect("max_execs", std::to_string(config_.fuzz.maxExecs));
     expect("rng_seed", std::to_string(config_.fuzz.rngSeed));
-    expect("fingerprint", hex64(campaignFingerprint()));
+    expect("fingerprint", obs::hex16(campaignFingerprint()));
 }
 
 void
@@ -423,7 +428,7 @@ CampaignSession::openDir(
     // Persist the restart count up front: a hard kill mid-run must
     // not forget that this incarnation happened. (Wall-clock since
     // this point is lost on a hard kill — display-only data.)
-    writeSessionStats(savedRunSecs_);
+    writeSessionStats(config_.dir, savedRunSecs_, restarts_);
     // Ops log: process history, append-only across restarts — this
     // stream records what *happened to the session* (restarts,
     // checkpoints, cache traffic) and is deliberately not part of
@@ -721,7 +726,7 @@ CampaignSession::run()
         // session_stats (workers come and go; their wall clocks
         // overlap and must not clobber each other).
         if (!workerMode())
-            writeSessionStats(runSecs_);
+            writeSessionStats(config_.dir, runSecs_, restarts_);
         obs::CampaignEvent finished(halted_ ? "halt" : "complete",
                                     result_.total.execs);
         finished.num("corpus", result_.total.seeds)
@@ -772,6 +777,33 @@ CampaignSession::divergenceRecords() const
     return records;
 }
 
+template <typename Options, typename Reduce>
+auto
+CampaignSession::reduceWitnesses(Options options,
+                                 const Reduce &reduce) const
+{
+    options.candidateBudget = config_.triage.candidateBudget;
+    options.jobs = config_.jobs;
+    options.reportsDir = config_.triage.reportsDir;
+    // One witness per unique divergence or finding.
+    obs::CampaignEvent started("reduce_start", result_.total.execs);
+    started.num("records", result_.diffs.size());
+    appendOpsEvent(std::move(started));
+    auto reports = reduce(options);
+    for (const auto &report : reports) {
+        obs::CampaignEvent reduced("reduced", result_.total.execs);
+        reduced.hex("signature", reportSignature(report))
+            .num("reproduced", report.reproduced ? 1 : 0)
+            .num("input_bytes", report.input.size())
+            .num("witness_bytes", report.witnessInput.size());
+        appendOpsEvent(std::move(reduced));
+    }
+    obs::CampaignEvent done("reduce_done", result_.total.execs);
+    done.num("reports", reports.size());
+    appendOpsEvent(std::move(done));
+    return reports;
+}
+
 std::vector<reduce::DivergenceReport>
 CampaignSession::triage() const
 {
@@ -785,33 +817,10 @@ CampaignSession::triage() const
     reduce::ReduceOptions options;
     options.diffOptions = config_.fuzz.diffOptions;
     options.diffOptions.limits = config_.fuzz.limits;
-    options.candidateBudget = config_.triage.candidateBudget;
-    options.jobs = config_.jobs;
-    options.reportsDir = config_.triage.reportsDir;
-    const std::vector<DivergenceRecord> records =
-        divergenceRecords();
-    {
-        obs::CampaignEvent started("reduce_start",
-                                   result_.total.execs);
-        started.num("records", records.size());
-        appendOpsEvent(std::move(started));
-    }
-    auto reports = reduce::reduceRecords(
-        program_, config_.fuzz.diffImpls, records, options);
-    for (const auto &report : reports) {
-        obs::CampaignEvent reduced("reduced", result_.total.execs);
-        reduced.hex("signature", report.signature)
-            .num("reproduced", report.reproduced ? 1 : 0)
-            .num("input_bytes", report.input.size())
-            .num("witness_bytes", report.witnessInput.size());
-        appendOpsEvent(std::move(reduced));
-    }
-    {
-        obs::CampaignEvent done("reduce_done", result_.total.execs);
-        done.num("reports", reports.size());
-        appendOpsEvent(std::move(done));
-    }
-    return reports;
+    return reduceWitnesses(options, [&](const auto &opts) {
+        return reduce::reduceRecords(program_, config_.fuzz.diffImpls,
+                                     divergenceRecords(), opts);
+    });
 }
 
 std::vector<sancheck::FindingReport>
@@ -823,46 +832,26 @@ CampaignSession::triageSancheck() const
     obs::Span span("session.triage_sancheck");
     sancheck::FindingReduceOptions options;
     options.limits = config_.fuzz.limits;
-    options.candidateBudget = config_.triage.candidateBudget;
-    options.jobs = config_.jobs;
-    options.reportsDir = config_.triage.reportsDir;
     std::vector<sancheck::FindingWitness> witnesses;
     witnesses.reserve(result_.diffs.size());
     for (const auto &diff : result_.diffs)
         witnesses.push_back({diff.input, diff.sanFinding});
-    {
-        obs::CampaignEvent started("reduce_start",
-                                   result_.total.execs);
-        started.num("records", witnesses.size());
-        appendOpsEvent(std::move(started));
-    }
-    auto reports = sancheck::reduceFindings(
-        program_, config_.fuzz.sancheckImpls, witnesses, options);
-    for (const auto &report : reports) {
-        obs::CampaignEvent reduced("reduced", result_.total.execs);
-        reduced.hex("signature", report.finding.signatureHash())
-            .num("reproduced", report.reproduced ? 1 : 0)
-            .num("input_bytes", report.input.size())
-            .num("witness_bytes", report.witnessInput.size());
-        appendOpsEvent(std::move(reduced));
-    }
-    {
-        obs::CampaignEvent done("reduce_done", result_.total.execs);
-        done.num("reports", reports.size());
-        appendOpsEvent(std::move(done));
-    }
-    return reports;
+    return reduceWitnesses(options, [&](const auto &opts) {
+        return sancheck::reduceFindings(
+            program_, config_.fuzz.sancheckImpls, witnesses, opts);
+    });
 }
 
 void
-CampaignSession::writeSessionStats(double run_secs) const
+writeSessionStats(const std::string &dir, double run_secs,
+                  std::uint64_t restarts)
 {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.3f", run_secs);
     std::ostringstream os;
     os << "run_secs : " << buf << "\n";
-    os << "restarts : " << restarts_ << "\n";
-    atomicWriteFile(config_.dir + "/session_stats", os.str());
+    os << "restarts : " << restarts << "\n";
+    atomicWriteFile(dir + "/session_stats", os.str());
 }
 
 void
@@ -894,10 +883,9 @@ CampaignSession::writeFinalArtifacts()
                 obs::Registry::global().snapshot().toJsonl());
         }
     }
-    if (!config_.fuzz.statsOutPath.empty())
-        obs::writeTextFile(config_.fuzz.statsOutPath, stats_text);
-    if (!config_.fuzz.plotOutPath.empty())
-        fuzz::writeShardPlots(fuzzers_, config_.fuzz.plotOutPath);
+    if (!config_.statsOutPath.empty())
+        obs::writeTextFile(config_.statsOutPath, stats_text);
+    fuzz::writeShardPlots(fuzzers_, config_.plotOutPath);
 }
 
 std::vector<DivergenceRecord>

@@ -124,6 +124,11 @@ struct SessionConfig
     /** Post-campaign triage (the single carrier of these knobs). */
     TriageOptions triage;
 
+    /** Where else a completed campaign writes its `fuzzer_stats`
+     *  and `plot_data[.shardN]` ("" = nowhere); not fingerprinted. */
+    std::string statsOutPath;
+    std::string plotOutPath;
+
     // --- fleet-worker mode (src/fleet) ---
 
     /**
@@ -282,8 +287,13 @@ class CampaignSession
     void openDir(
         std::vector<std::unique_ptr<fuzz::FuzzerState>> &restored);
     void installHooks();
-    void writeSessionStats(double run_secs) const;
     void writeFinalArtifacts();
+    /** What triage() and triageSancheck() share: the budget, jobs
+     *  and bundle directory copied into `options`, and the
+     *  reduce_start / reduced / reduce_done ops events around
+     *  `reduce(options)`. */
+    template <typename Options, typename Reduce>
+    auto reduceWitnesses(Options options, const Reduce &reduce) const;
     /** Rewind/initialize event logs + heartbeats after restore. */
     void initShardObservability();
     /** Append campaign events discovered since the last safe point
@@ -348,5 +358,13 @@ class CampaignSession
     double savedRunSecs_ = 0;
     double runSecs_ = 0;
 };
+
+/**
+ * Atomically rewrite `<dir>/session_stats`: cumulative wall-clock
+ * seconds and restart count. Display-only; the session and the
+ * fleet coordinator both write the file through this.
+ */
+void writeSessionStats(const std::string &dir, double run_secs,
+                       std::uint64_t restarts);
 
 } // namespace compdiff::session

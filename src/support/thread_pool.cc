@@ -1,5 +1,6 @@
 #include "support/thread_pool.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
@@ -15,10 +16,8 @@ namespace compdiff::support
 struct ThreadPool::Impl
 {
     std::mutex mu;
-    std::condition_variable wake;  ///< workers wait here for tasks
-    std::condition_variable idle;  ///< waitIdle() waits here
+    std::condition_variable wake; ///< workers wait here for tasks
     std::deque<std::function<void()>> queue;
-    std::size_t running = 0; ///< tasks currently executing
     bool stopping = false;
     std::vector<std::thread> workers;
 
@@ -35,15 +34,8 @@ struct ThreadPool::Impl
                     return; // stopping and drained
                 task = std::move(queue.front());
                 queue.pop_front();
-                running++;
             }
             task();
-            {
-                std::lock_guard<std::mutex> lock(mu);
-                running--;
-                if (queue.empty() && running == 0)
-                    idle.notify_all();
-            }
         }
     }
 };
@@ -78,15 +70,6 @@ ThreadPool::submit(std::function<void()> task)
         impl_->queue.push_back(std::move(task));
     }
     impl_->wake.notify_one();
-}
-
-void
-ThreadPool::waitIdle()
-{
-    std::unique_lock<std::mutex> lock(impl_->mu);
-    impl_->idle.wait(lock, [&] {
-        return impl_->queue.empty() && impl_->running == 0;
-    });
 }
 
 std::size_t
@@ -170,6 +153,25 @@ ThreadPool::runAll(std::vector<std::function<void()>> tasks)
     for (auto &error : batch->errors)
         if (error)
             std::rethrow_exception(error);
+}
+
+void
+runIndexed(std::size_t count, std::size_t jobs,
+           const std::function<void(std::size_t)> &task)
+{
+    const std::size_t threads = std::min(
+        jobs == 0 ? ThreadPool::hardwareWorkers() : jobs, count);
+    if (threads <= 1) {
+        for (std::size_t i = 0; i < count; i++)
+            task(i);
+        return;
+    }
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(count);
+    for (std::size_t i = 0; i < count; i++)
+        tasks.push_back([&task, i] { task(i); });
+    ThreadPool pool(threads - 1);
+    pool.runAll(std::move(tasks));
 }
 
 } // namespace compdiff::support

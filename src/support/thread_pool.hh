@@ -50,9 +50,6 @@ class ThreadPool
     /** Enqueue one fire-and-forget task (must not throw). */
     void submit(std::function<void()> task);
 
-    /** Block until the queue is empty and no task is running. */
-    void waitIdle();
-
     /**
      * Run every task to completion, blocking the caller.
      *
@@ -73,5 +70,16 @@ class ThreadPool
     struct Impl;
     std::unique_ptr<Impl> impl_;
 };
+
+/**
+ * Run task(0) .. task(count - 1) on up to `jobs` threads (0 = one
+ * per hardware thread) and return when all have finished. The
+ * calling thread drives tasks too, so this starts one pool worker
+ * fewer than min(jobs, count); with none, the tasks run inline in
+ * index order. Tasks should write per-index slots; exceptions follow
+ * runAll().
+ */
+void runIndexed(std::size_t count, std::size_t jobs,
+                const std::function<void(std::size_t)> &task);
 
 } // namespace compdiff::support

@@ -92,12 +92,6 @@ runCampaign(const TargetProgram &target,
     fuzz_options.maxExecs = options.maxExecs;
     fuzz_options.rngSeed = options.rngSeed;
     fuzz_options.limits = options.limits;
-    if (!options.statsDir.empty()) {
-        const std::string dir =
-            options.statsDir + "/" + target.name;
-        fuzz_options.statsOutPath = dir + "/fuzzer_stats";
-        fuzz_options.plotOutPath = dir + "/plot_data";
-    }
     // Record-oriented targets saturate well below AFL's default
     // input ceiling; a small cap keeps executions short.
     fuzz_options.maxInputSize = 64;
@@ -122,6 +116,11 @@ runCampaign(const TargetProgram &target,
     session_config.triage = options.triage;
     if (!session_config.triage.reportsDir.empty()) {
         session_config.triage.reportsDir += "/" + target.name;
+    }
+    if (!options.statsDir.empty()) {
+        const std::string dir = options.statsDir + "/" + target.name;
+        session_config.statsOutPath = dir + "/fuzzer_stats";
+        session_config.plotOutPath = dir + "/plot_data";
     }
     session::CampaignSession session(*program, target.seeds,
                                      session_config);

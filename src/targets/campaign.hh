@@ -95,7 +95,7 @@ struct CampaignOptions
 
     /**
      * Deterministic work partition: the campaign runs as this many
-     * independent shards (fuzz::runShardedCampaign). Results depend
+     * independent shards (fuzz/sharded.hh). Results depend
      * on `shards` — changing it changes the campaign — but never on
      * `jobs`. shards == 1 reproduces the plain single-fuzzer path.
      */

@@ -22,6 +22,7 @@
 #include "fuzz/sharded.hh"
 #include "minic/parser.hh"
 #include "obs/stats.hh"
+#include "session/session.hh"
 
 namespace
 {
@@ -169,6 +170,22 @@ expectIdentical(const fuzz::FuzzStats &a, const fuzz::FuzzStats &b)
     EXPECT_EQ(a.lastDiffExec, b.lastDiffExec);
 }
 
+/** Run one campaign the one way campaigns run: an ephemeral
+ *  session. */
+fuzz::ShardedResult
+runCampaign(const minic::Program &program,
+            const std::vector<Bytes> &seeds,
+            const fuzz::FuzzOptions &options, std::size_t shards,
+            std::size_t jobs)
+{
+    session::SessionConfig config;
+    config.fuzz = options;
+    config.shards = shards;
+    config.jobs = jobs;
+    session::CampaignSession session(program, seeds, config);
+    return session.run();
+}
+
 /**
  * Run one campaign at jobs 1 and 4 and require identical results.
  * `jobs` means what --jobs means: shard threads with several shards
@@ -180,11 +197,11 @@ expectJobsInvariant(const minic::Program &program,
 {
     const std::vector<Bytes> seeds = {{'A'}, {'B', 'C'}};
     options.jobs = 1;
-    auto serial = fuzz::runShardedCampaign(program, seeds, options,
-                                           shards, /*jobs=*/1);
+    auto serial = runCampaign(program, seeds, options, shards,
+                              /*jobs=*/1);
     options.jobs = 4;
-    auto threaded = fuzz::runShardedCampaign(program, seeds, options,
-                                             shards, /*jobs=*/4);
+    auto threaded = runCampaign(program, seeds, options, shards,
+                                /*jobs=*/4);
 
     expectIdentical(serial.total, threaded.total);
     ASSERT_EQ(serial.perShard.size(), shards);
@@ -249,8 +266,8 @@ TEST(ShardedCampaign, SingleShardReproducesPlainFuzzer)
 
     fuzz::Fuzzer plain(*program, seeds, options);
     plain.run();
-    auto sharded = fuzz::runShardedCampaign(
-        *program, seeds, options, /*shards=*/1, /*jobs=*/1);
+    auto sharded = runCampaign(*program, seeds, options,
+                               /*shards=*/1, /*jobs=*/1);
 
     expectIdentical(plain.stats(), sharded.total);
     ASSERT_EQ(plain.diffs().size(), sharded.diffs.size());
@@ -265,8 +282,8 @@ TEST(ShardedCampaign, ShardCountSplitsBudgetExactly)
     auto program = minic::parseAndCheck(kUnstableTarget);
     fuzz::FuzzOptions options;
     options.maxExecs = 1'001; // deliberately not divisible by 3
-    auto result = fuzz::runShardedCampaign(*program, {{'A'}},
-                                           options, /*shards=*/3);
+    auto result = runCampaign(*program, {{'A'}}, options,
+                              /*shards=*/3, /*jobs=*/1);
     EXPECT_EQ(result.total.execs, 1'001u);
     ASSERT_EQ(result.perShard.size(), 3u);
     EXPECT_EQ(result.perShard[0].execs, 334u);

@@ -3,8 +3,9 @@
  * Tests for the divergence-preserving reduction subsystem
  * (src/reduce): the oracle contract, ddmin idempotence, signature
  * preservation on every accepted candidate, jobs-neutrality of the
- * pipeline, the seeded bugRemPow2 regression, report bundling, and
- * the campaign's untriaged-divergence surfacing.
+ * pipeline and of the sancheck pipeline that shares it, the seeded
+ * bugRemPow2 regression, report bundling, and the campaign's
+ * untriaged-divergence surfacing.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
+#include <sstream>
+#include <string>
 
 #include "compdiff/engine.hh"
 #include "compdiff/implementation.hh"
@@ -22,6 +27,8 @@
 #include "reduce/pipeline.hh"
 #include "reduce/program_reducer.hh"
 #include "reduce/report.hh"
+#include "sancheck/report.hh"
+#include "sancheck/sancheck.hh"
 #include "targets/campaign.hh"
 
 namespace
@@ -77,6 +84,24 @@ gccVsRef()
 {
     return core::ImplementationRegistry::global().parse(
         "gcc:-O2,ref");
+}
+
+/** Every file under `dir`, keyed by its path relative to `dir`. */
+std::map<std::string, std::string>
+readTree(const std::string &dir)
+{
+    std::map<std::string, std::string> files;
+    for (const auto &entry :
+         std::filesystem::recursive_directory_iterator(dir)) {
+        if (!entry.is_regular_file())
+            continue;
+        std::ifstream in(entry.path(), std::ios::binary);
+        std::ostringstream content;
+        content << in.rdbuf();
+        files[std::filesystem::relative(entry.path(), dir)
+                  .string()] = content.str();
+    }
+    return files;
 }
 
 /** Delegating oracle that records every accepted candidate input. */
@@ -256,18 +281,25 @@ TEST(ReducePipeline, JobsNeverChangeResults)
         witnesses.push_back({input, std::move(diff)});
     }
 
+    const std::string dir = (std::filesystem::temp_directory_path() /
+                             "compdiff_reduce_jobs")
+                                .string();
+    std::filesystem::remove_all(dir);
     reduce::ReduceOptions options;
     options.diffOptions = diff_options;
     options.candidateBudget = 1024;
     options.checkSanitizers = false;
     options.jobs = 1;
+    options.reportsDir = dir + "/diff-1";
     auto serial =
         reduce::reduceAndReport(*program, gccVsRef(), witnesses,
                                 options);
     options.jobs = 4;
+    options.reportsDir = dir + "/diff-4";
     auto parallel =
         reduce::reduceAndReport(*program, gccVsRef(), witnesses,
                                 options);
+    EXPECT_EQ(readTree(dir + "/diff-1"), readTree(dir + "/diff-4"));
 
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); i++) {
@@ -282,6 +314,36 @@ TEST(ReducePipeline, JobsNeverChangeResults)
         EXPECT_EQ(renderReportMarkdown(serial[i]),
                   renderReportMarkdown(parallel[i]));
     }
+
+    // The sanitizer-checking pipeline shrinks and fans out through
+    // the same path: one witness per sanlab finding signature.
+    auto sanlab = minic::parseAndCheck(sancheck::sanlabSource());
+    const core::ImplementationSet san_impls =
+        sancheck::defaultImplementations();
+    sancheck::SanCheckOracle san_oracle(*sanlab, san_impls);
+    std::vector<sancheck::FindingWitness> findings;
+    std::set<std::uint64_t> signatures;
+    for (const support::Bytes &seed : sancheck::sanlabSeeds()) {
+        for (const auto &finding : san_oracle.runInput(seed).findings)
+            if (signatures.insert(finding.signatureHash()).second)
+                findings.push_back({seed, finding});
+    }
+    ASSERT_GE(findings.size(), 2u);
+    sancheck::FindingReduceOptions san_options;
+    san_options.candidateBudget = 1024;
+    for (const std::size_t jobs : {1u, 4u}) {
+        san_options.jobs = jobs;
+        san_options.reportsDir = dir + "/san-" + std::to_string(jobs);
+        const auto reports = sancheck::reduceFindings(
+            *sanlab, san_impls, findings, san_options);
+        ASSERT_EQ(reports.size(), findings.size());
+        for (const auto &report : reports)
+            EXPECT_TRUE(report.reproduced);
+    }
+    const auto san_tree = readTree(dir + "/san-1");
+    EXPECT_EQ(san_tree.size(), 4 * findings.size());
+    EXPECT_EQ(san_tree, readTree(dir + "/san-4"));
+    std::filesystem::remove_all(dir);
 }
 
 TEST(ReduceReport, BundleCarriesTheFiling)

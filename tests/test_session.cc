@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -35,6 +36,7 @@
 #include "session/heartbeat.hh"
 #include "session/serial.hh"
 #include "session/session.hh"
+#include "vm/coverage.hh"
 
 namespace
 {
@@ -503,11 +505,12 @@ TEST(SessionResume, ResumeWithoutDirectoryRejected)
 
 TEST(SessionEphemeral, MatchesDirectShardedCampaign)
 {
+    // A shard is, by definition, one plain Fuzzer per planShards
+    // plan: the session's shards must be exactly those runs.
     auto program = minic::parseAndCheck(kUnstableTarget);
     fuzz::FuzzOptions options;
     options.maxExecs = 1'000;
-    auto direct = fuzz::runShardedCampaign(*program, kSeeds, options,
-                                           /*shards=*/3, /*jobs=*/1);
+    const auto plans = fuzz::planShards(options, kSeeds, 3);
 
     session::SessionConfig config;
     config.fuzz = options;
@@ -515,16 +518,43 @@ TEST(SessionEphemeral, MatchesDirectShardedCampaign)
     session::CampaignSession session(*program, kSeeds, config);
     const auto &via_session = session.run();
     ASSERT_TRUE(session.completed());
+    ASSERT_EQ(via_session.perShard.size(), plans.size());
 
-    EXPECT_EQ(direct.total.execs, via_session.total.execs);
-    EXPECT_EQ(direct.total.diffs, via_session.total.diffs);
-    EXPECT_EQ(direct.total.edges, via_session.total.edges);
-    ASSERT_EQ(direct.diffs.size(), via_session.diffs.size());
-    for (std::size_t i = 0; i < direct.diffs.size(); i++) {
-        EXPECT_EQ(direct.diffs[i].input, via_session.diffs[i].input);
-        EXPECT_EQ(direct.diffs[i].signature,
-                  via_session.diffs[i].signature);
+    std::set<std::uint64_t> filed;
+    std::size_t next_diff = 0;
+    std::uint64_t execs = 0;
+    vm::VirginMap edges;
+    for (std::size_t s = 0; s < plans.size(); s++) {
+        fuzz::Fuzzer direct(*program, plans[s].seeds,
+                            plans[s].options);
+        const fuzz::FuzzStats stats = direct.run();
+        execs += stats.execs;
+        edges.merge(direct.virginMap());
+        const fuzz::FuzzStats &shard = via_session.perShard[s];
+        EXPECT_EQ(stats.execs, shard.execs) << "shard " << s;
+        EXPECT_EQ(stats.compdiffExecs, shard.compdiffExecs);
+        EXPECT_EQ(stats.seeds, shard.seeds);
+        EXPECT_EQ(stats.crashes, shard.crashes);
+        EXPECT_EQ(stats.diffs, shard.diffs);
+        EXPECT_EQ(stats.edges, shard.edges);
+        EXPECT_EQ(stats.lastFindExec, shard.lastFindExec);
+        EXPECT_EQ(stats.lastDiffExec, shard.lastDiffExec);
+        // The fold keeps each shard's diffs in order, minus the
+        // signatures an earlier shard already filed.
+        for (const auto &diff : direct.diffs()) {
+            if (!filed.insert(diff.signature).second)
+                continue;
+            ASSERT_LT(next_diff, via_session.diffs.size());
+            const auto &folded = via_session.diffs[next_diff++];
+            EXPECT_EQ(folded.signature, diff.signature);
+            EXPECT_EQ(folded.input, diff.input);
+            EXPECT_EQ(folded.execIndex, diff.execIndex);
+        }
     }
+    EXPECT_EQ(next_diff, via_session.diffs.size());
+    EXPECT_EQ(via_session.total.diffs, via_session.diffs.size());
+    EXPECT_EQ(via_session.total.execs, execs);
+    EXPECT_EQ(via_session.total.edges, edges.edgesSeen());
 }
 
 TEST(SessionSerial, FuzzerStateRoundTrips)

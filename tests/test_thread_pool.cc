@@ -2,13 +2,17 @@
  * @file
  * Tests for support::ThreadPool: FIFO dispatch, the runAll batch
  * primitive (output slots, caller participation, exception
- * discipline), and graceful drain-on-destruction.
+ * discipline), graceful drain-on-destruction, and the runIndexed
+ * fan-out's thread bound.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <iterator>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
@@ -26,16 +30,18 @@ TEST(ThreadPool, SingleWorkerPreservesSubmissionOrder)
 {
     // With exactly one worker the queue is strictly FIFO, so the
     // execution order must equal the submission order.
-    ThreadPool pool(1);
     std::vector<int> order;
     std::mutex mu;
-    for (int i = 0; i < 64; i++) {
-        pool.submit([&order, &mu, i] {
-            std::lock_guard<std::mutex> lock(mu);
-            order.push_back(i);
-        });
+    {
+        ThreadPool pool(1);
+        for (int i = 0; i < 64; i++) {
+            pool.submit([&order, &mu, i] {
+                std::lock_guard<std::mutex> lock(mu);
+                order.push_back(i);
+            });
+        }
+        // The destructor drains the queue before it returns.
     }
-    pool.waitIdle();
     std::vector<int> expected(64);
     std::iota(expected.begin(), expected.end(), 0);
     EXPECT_EQ(order, expected);
@@ -104,28 +110,42 @@ TEST(ThreadPool, DestructorDrainsPendingTasks)
     EXPECT_EQ(done.load(), 32);
 }
 
-TEST(ThreadPool, WaitIdleBlocksUntilQueueEmpty)
-{
-    ThreadPool pool(3);
-    std::atomic<int> done{0};
-    for (int i = 0; i < 24; i++) {
-        pool.submit([&done] {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(1));
-            done.fetch_add(1);
-        });
-    }
-    pool.waitIdle();
-    EXPECT_EQ(done.load(), 24);
-    pool.waitIdle(); // idempotent on an idle pool
-    EXPECT_EQ(done.load(), 24);
-}
-
 TEST(ThreadPool, HardwareWorkersIsPositive)
 {
     EXPECT_GE(ThreadPool::hardwareWorkers(), 1u);
     ThreadPool pool(0); // 0 = hardware default
     EXPECT_GE(pool.workerCount(), 1u);
+}
+
+TEST(RunIndexed, StartsMinOfJobsAndCountMinusOneThreads)
+{
+    // The calling thread drives tasks too, so the fan-out adds
+    // min(jobs, count) - 1 threads (jobs 0 = one per hardware
+    // thread) and none at all when the tasks run inline.
+    const auto threads = [] {
+        return static_cast<std::size_t>(std::distance(
+            std::filesystem::directory_iterator("/proc/self/task"),
+            std::filesystem::directory_iterator()));
+    };
+    const std::size_t base = threads();
+    for (const std::size_t jobs : {0, 1, 2, 8}) {
+        for (const std::size_t count : {1, 3}) {
+            const std::size_t resolved =
+                jobs == 0 ? ThreadPool::hardwareWorkers() : jobs;
+            std::vector<std::size_t> added(count, 99);
+            compdiff::support::runIndexed(
+                count, jobs,
+                [&](std::size_t i) { added[i] = threads() - base; });
+            const std::vector<std::size_t> expected(
+                count, std::min(resolved, count) - 1);
+            EXPECT_EQ(added, expected)
+                << "jobs " << jobs << ", " << count << " tasks";
+            // A joined thread can linger in /proc for a moment.
+            for (int i = 0; i < 1000 && threads() != base; i++)
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(1));
+        }
+    }
 }
 
 } // namespace
