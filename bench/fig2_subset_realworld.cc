@@ -23,14 +23,12 @@ main(int argc, char **argv)
     obs::BenchTelemetry telemetry("fig2_subset_realworld");
     using support::format;
 
-    targets::CampaignOptions options;
-    options.maxExecs = 10'000;
-    options.checkSanitizers = false;
-    options.maxExecs = frontend::unsignedArgument(
-        argc, argv, "fig2_subset_realworld [execs_per_target]",
-        options.maxExecs);
+    session::SessionConfig config = targets::campaignConfig();
+    config.fuzz.maxExecs = frontend::unsignedArgument(
+        argc, argv, "fig2_subset_realworld [execs_per_target]", 10'000);
 
-    const auto results = targets::runAllCampaigns(options);
+    const auto results =
+        targets::runAllCampaigns(config, /*check_sanitizers=*/false);
     const auto impls = core::paper10Implementations();
 
     core::SubsetAnalysis analysis(impls.size());

@@ -20,22 +20,20 @@ main(int argc, char **argv)
     using namespace compdiff;
     obs::BenchTelemetry telemetry("table5_fuzz_bugs");
 
-    targets::CampaignOptions options;
-    options.maxExecs = 10'000;
-    options.checkSanitizers = false;
-    options.maxExecs = frontend::unsignedArgument(
-        argc, argv, "table5_fuzz_bugs [execs_per_target]",
-        options.maxExecs);
+    session::SessionConfig config = targets::campaignConfig();
+    config.fuzz.maxExecs = frontend::unsignedArgument(
+        argc, argv, "table5_fuzz_bugs [execs_per_target]", 10'000);
 
     std::printf("Table 5: bugs detected by CompDiff-AFL++ on %zu "
                 "targets (%llu execs per target)\n\n",
                 targets::allTargets().size(),
-                static_cast<unsigned long long>(options.maxExecs));
+                static_cast<unsigned long long>(config.fuzz.maxExecs));
 
     std::uint64_t total_execs = 0;
     std::vector<targets::CampaignResult> results;
     for (const auto &target : targets::allTargets()) {
-        results.push_back(targets::runCampaign(target, options));
+        results.push_back(targets::runCampaign(
+            target, config, /*check_sanitizers=*/false));
         total_execs += results.back().stats.execs;
         std::fprintf(stderr, "  %-10s diffs %3zu  found %zu/%zu\n",
                      target.name.c_str(),

@@ -22,14 +22,13 @@ main(int argc, char **argv)
     obs::BenchTelemetry telemetry("table6_sanitizer_overlap");
     using targets::BugCategory;
 
-    targets::CampaignOptions options;
-    options.maxExecs = 10'000;
-    options.checkSanitizers = true;
-    options.maxExecs = frontend::unsignedArgument(
+    session::SessionConfig config = targets::campaignConfig();
+    config.fuzz.maxExecs = frontend::unsignedArgument(
         argc, argv, "table6_sanitizer_overlap [execs_per_target]",
-        options.maxExecs);
+        10'000);
 
-    const auto results = targets::runAllCampaigns(options);
+    const auto results =
+        targets::runAllCampaigns(config, /*check_sanitizers=*/true);
 
     struct Row
     {
@@ -72,7 +71,7 @@ main(int argc, char **argv)
     std::printf("Table 6: of the bugs detected by CompDiff, the "
                 "number also discovered by sanitizers\n"
                 "(%llu execs per target)\n\n",
-                static_cast<unsigned long long>(options.maxExecs));
+                static_cast<unsigned long long>(config.fuzz.maxExecs));
 
     support::TextTable table;
     table.setHeader({"CompDiff", "ASan", "UBSan", "MSan",

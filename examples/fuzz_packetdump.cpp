@@ -38,27 +38,27 @@ run(int argc, char **argv)
         return 1;
     }
 
-    targets::CampaignOptions options;
-    options.checkSanitizers = true;
-    options.maxExecs = 12'000;
+    session::SessionConfig config = targets::campaignConfig();
+    config.fuzz.maxExecs = 12'000;
+    std::string stats_dir;
     std::string trace_out;
     support::FlagTable table("fuzz_packetdump [options] [execs]", 1,
                              "execs: the campaign budget (default "
                              "12000).");
-    table.value("--stats-dir", "DIR", &options.statsDir,
+    table.value("--stats-dir", "DIR", &stats_dir,
                 "fuzzer_stats and plot_data under DIR/pktdump/");
     table.value("--trace-out", "FILE", &trace_out, "Chrome-trace JSON");
-    table.value("--session", "DIR", &options.sessionDir,
+    table.value("--session", "DIR", &config.dir,
                 "crash-safe session under DIR/pktdump/");
-    table.flag("--resume", &options.resume, "continue the session");
-    table.value("--halt-after", "N", &options.haltAfterExecs,
+    table.flag("--resume", &config.resume, "continue the session");
+    table.value("--halt-after", "N", &config.haltAfterExecs,
                 "stop each shard at a safe point past N execs");
-    table.value("--checkpoint-every", "N", &options.checkpointEvery,
+    table.value("--checkpoint-every", "N", &config.checkpointEvery,
                 "checkpoint every N shard executions");
-    table.value("--shards", "N", &options.shards,
+    table.value("--shards", "N", &config.shards,
                 "deterministic campaign shards",
                 frontend::kMaxParallelism);
-    table.value("--jobs", "N", &options.jobs,
+    table.value("--jobs", "N", &config.jobs,
                 "worker threads (never changes results)",
                 frontend::kMaxParallelism);
     const std::vector<std::string> args =
@@ -68,17 +68,25 @@ run(int argc, char **argv)
         if (!execs)
             throw support::UsageError(
                 args[0] + ": expected an unsigned execution budget");
-        options.maxExecs = *execs;
+        config.fuzz.maxExecs = *execs;
     }
-    if (!options.statsDir.empty() || !trace_out.empty())
+    // --jobs sizes the shard threads and each shard's oracle pool.
+    config.fuzz.jobs = config.jobs;
+    if (!stats_dir.empty()) {
+        const std::string dir = stats_dir + "/" + target->name;
+        config.statsOutPath = dir + "/fuzzer_stats";
+        config.plotOutPath = dir + "/plot_data";
+    }
+    if (!stats_dir.empty() || !trace_out.empty())
         obs::setEnabled(true);
 
     std::printf("fuzzing %s (%s, v%s, %zu LoC) for %llu execs...\n\n",
                 target->name.c_str(), target->inputType.c_str(),
                 target->version.c_str(), target->linesOfCode(),
-                static_cast<unsigned long long>(options.maxExecs));
+                static_cast<unsigned long long>(config.fuzz.maxExecs));
 
-    auto result = targets::runCampaign(*target, options);
+    auto result =
+        targets::runCampaign(*target, config, /*check_sanitizers=*/true);
 
     if (result.halted) {
         std::printf("session halted at a checkpoint after %llu "

@@ -14,6 +14,17 @@ namespace compdiff::core
 
 using support::Bytes;
 
+namespace
+{
+
+/** RQ6: a partial timeout reruns the round at most this many
+ *  times, each with the instruction budget multiplied by
+ *  kTimeoutBudgetFactor. */
+constexpr int kTimeoutRetries = 3;
+constexpr std::uint64_t kTimeoutBudgetFactor = 4;
+
+} // namespace
+
 std::vector<std::uint64_t>
 DiffResult::hashVector() const
 {
@@ -22,18 +33,6 @@ DiffResult::hashVector() const
     for (const auto &obs : observations)
         hashes.push_back(obs.hash);
     return hashes;
-}
-
-bool
-DiffResult::divergesWithin(const std::vector<std::size_t> &subset) const
-{
-    if (subset.size() < 2)
-        return false;
-    const std::uint64_t first = observations[subset[0]].hash;
-    for (std::size_t i = 1; i < subset.size(); i++)
-        if (observations[subset[i]].hash != first)
-            return true;
-    return false;
 }
 
 std::string
@@ -230,10 +229,7 @@ DiffEngine::finishInput(DiffResult &result, const Bytes &input,
     // result.observations holds the first round; each partial
     // timeout below raises the budget and reruns the whole round.
     std::uint64_t budget = options_.limits.maxInstructions;
-    int attempts_left = (options_.retryTimeouts
-                             ? options_.timeoutRetries + 1
-                             : 1) -
-                        1;
+    int attempts_left = options_.retryTimeouts ? kTimeoutRetries : 0;
 
     while (true) {
         bool any_timeout = false;
@@ -249,7 +245,7 @@ DiffEngine::finishInput(DiffResult &result, const Bytes &input,
         // Partial timeout: the truncated outputs are not comparable.
         // Raise the budget and try again (RQ6).
         result.unresolvedTimeout = true;
-        budget *= options_.timeoutBudgetFactor;
+        budget *= kTimeoutBudgetFactor;
         static obs::Counter &timeout_retries =
             obs::counter("compdiff.timeout_retries");
         timeout_retries.add();
@@ -302,18 +298,6 @@ DiffEngine::finishInput(DiffResult &result, const Bytes &input,
             obs::histogram("compdiff.classes_per_run");
         classes_per_run.observe(result.classCount);
     }
-}
-
-std::optional<DiffResult>
-DiffEngine::findDivergence(const std::vector<Bytes> &inputs) const
-{
-    std::uint64_t nonce = 0;
-    for (const auto &input : inputs) {
-        auto result = runInput(input, nonce++);
-        if (result.divergent)
-            return result;
-    }
-    return std::nullopt;
 }
 
 } // namespace compdiff::core

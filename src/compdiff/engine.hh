@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -44,10 +43,9 @@ struct DiffOptions
 {
     vm::VmLimits limits;
     OutputNormalizer normalizer = OutputNormalizer::withDefaultFilters();
-    /** RQ6: re-run partial timeouts with a larger budget. */
+    /** RQ6: re-run partial timeouts with a larger budget (up to
+     *  three times, each at four times the previous budget). */
     bool retryTimeouts = true;
-    int timeoutRetries = 3;
-    std::uint64_t timeoutBudgetFactor = 4;
     /**
      * Worker threads for the k-way execution fan-out: 1 = serial
      * (the seed behavior), 0 = one per hardware thread. Results are
@@ -101,9 +99,6 @@ struct DiffResult
 
     /** Per-implementation output hashes, in implementation order. */
     std::vector<std::uint64_t> hashVector() const;
-
-    /** Would the subset (indices into observations) still diverge? */
-    bool divergesWithin(const std::vector<std::size_t> &subset) const;
 
     /**
      * Human-readable report: classes, members, and their outputs.
@@ -197,10 +192,6 @@ class DiffEngine
      * candidate programs.
      */
     void retarget(const minic::Program &program);
-
-    /** First divergence-triggering input among `inputs`, if any. */
-    std::optional<DiffResult>
-    findDivergence(const std::vector<support::Bytes> &inputs) const;
 
     /** The oracle members, in observation order. */
     const ImplementationSet &implementations() const

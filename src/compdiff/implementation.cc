@@ -14,16 +14,6 @@
 namespace compdiff::core
 {
 
-RawObservation
-Implementation::execute(std::shared_ptr<const Artifact> artifact,
-                        const support::Bytes &input,
-                        const vm::VmLimits &limits,
-                        std::uint64_t nonce) const
-{
-    return makeExecutor(std::move(artifact), limits)
-        ->execute(input, nonce, limits.maxInstructions);
-}
-
 namespace
 {
 

@@ -169,12 +169,6 @@ class Implementation
     makeExecutor(std::shared_ptr<const Artifact> artifact,
                  const vm::VmLimits &limits) const = 0;
 
-    /** One-shot convenience: makeExecutor + execute. */
-    RawObservation execute(std::shared_ptr<const Artifact> artifact,
-                           const support::Bytes &input,
-                           const vm::VmLimits &limits,
-                           std::uint64_t nonce = 0) const;
-
     /**
      * The CompilerConfig behind this implementation, when it is a
      * member of the simulated family — nullptr for independent

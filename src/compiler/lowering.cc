@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "minic/walk.hh"
 #include "support/hash.hh"
 #include "support/logging.hh"
 
@@ -1161,66 +1162,24 @@ Lowering::layoutGlobals(Module &module)
 namespace
 {
 
-/** The cur_line() call lines of one expression tree (clang's
- *  reading of cur_line(), genCall), in print order. */
-void
-addCallLines(support::HashCombiner &lines, const minic::Expr &expr)
-{
-    const auto sub = [&](const ExprPtr &child) {
-        if (child)
-            addCallLines(lines, *child);
-    };
-    switch (expr.kind()) {
-      case ExprKind::Unary:
-        sub(static_cast<const UnaryExpr &>(expr).operand);
-        return;
-      case ExprKind::Binary:
-        sub(static_cast<const BinaryExpr &>(expr).lhs);
-        sub(static_cast<const BinaryExpr &>(expr).rhs);
-        return;
-      case ExprKind::Assign:
-        sub(static_cast<const AssignExpr &>(expr).target);
-        sub(static_cast<const AssignExpr &>(expr).value);
-        return;
-      case ExprKind::Cond: {
-        const auto &cond = static_cast<const CondExpr &>(expr);
-        sub(cond.cond);
-        sub(cond.thenExpr);
-        sub(cond.elseExpr);
-        return;
-      }
-      case ExprKind::Call: {
-        const auto &call = static_cast<const CallExpr &>(expr);
-        if (call.builtin == Builtin::CurLine)
-            lines.add(call.loc().line);
-        for (const auto &arg : call.args)
-            sub(arg);
-        return;
-      }
-      case ExprKind::Index:
-        sub(static_cast<const IndexExpr &>(expr).base);
-        sub(static_cast<const IndexExpr &>(expr).index);
-        return;
-      case ExprKind::Member:
-        sub(static_cast<const MemberExpr &>(expr).base);
-        return;
-      case ExprKind::Cast:
-        sub(static_cast<const CastExpr &>(expr).operand);
-        return;
-      default:
-        return;
-    }
-}
-
 /** Every statement's line (genStmt: its instructions' line and
  *  gcc's cur_line()) plus its cur_line() call lines, in print
  *  order. */
 void
 addLines(support::HashCombiner &lines, const minic::Stmt &stmt)
 {
+    // The cur_line() call lines (clang's reading of cur_line(),
+    // genCall). The call takes no arguments, so the children-first
+    // walk meets the calls in print order.
     const auto expr = [&](const ExprPtr &e) {
-        if (e)
-            addCallLines(lines, *e);
+        if (!e)
+            return;
+        walkNodes(*e, [&](const Expr &node) {
+            if (node.kind() == ExprKind::Call &&
+                static_cast<const CallExpr &>(node).builtin ==
+                    Builtin::CurLine)
+                lines.add(node.loc().line);
+        });
     };
     lines.add(stmt.loc().line);
     switch (stmt.kind()) {

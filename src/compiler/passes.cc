@@ -2,152 +2,13 @@
 
 #include <map>
 
+#include "minic/walk.hh"
 #include "support/logging.hh"
 
 namespace compdiff::compiler
 {
 
 using namespace minic;
-
-// ===================================================================
-// Walking utilities
-// ===================================================================
-
-void
-walkExprTree(ExprPtr &expr, const std::function<void(ExprPtr &)> &fn)
-{
-    if (!expr)
-        return;
-    switch (expr->kind()) {
-      case ExprKind::IntLit:
-      case ExprKind::FloatLit:
-      case ExprKind::StrLit:
-      case ExprKind::VarRef:
-      case ExprKind::SizeOf:
-        break;
-      case ExprKind::Unary:
-        walkExprTree(static_cast<UnaryExpr &>(*expr).operand, fn);
-        break;
-      case ExprKind::Binary: {
-        auto &bin = static_cast<BinaryExpr &>(*expr);
-        walkExprTree(bin.lhs, fn);
-        walkExprTree(bin.rhs, fn);
-        break;
-      }
-      case ExprKind::Assign: {
-        auto &assign = static_cast<AssignExpr &>(*expr);
-        walkExprTree(assign.target, fn);
-        walkExprTree(assign.value, fn);
-        break;
-      }
-      case ExprKind::Cond: {
-        auto &cond = static_cast<CondExpr &>(*expr);
-        walkExprTree(cond.cond, fn);
-        walkExprTree(cond.thenExpr, fn);
-        walkExprTree(cond.elseExpr, fn);
-        break;
-      }
-      case ExprKind::Call: {
-        auto &call = static_cast<CallExpr &>(*expr);
-        for (auto &arg : call.args)
-            walkExprTree(arg, fn);
-        break;
-      }
-      case ExprKind::Index: {
-        auto &index = static_cast<IndexExpr &>(*expr);
-        walkExprTree(index.base, fn);
-        walkExprTree(index.index, fn);
-        break;
-      }
-      case ExprKind::Member:
-        walkExprTree(static_cast<MemberExpr &>(*expr).base, fn);
-        break;
-      case ExprKind::Cast:
-        walkExprTree(static_cast<CastExpr &>(*expr).operand, fn);
-        break;
-    }
-    fn(expr);
-}
-
-void
-walkExprs(Stmt &stmt, const std::function<void(ExprPtr &)> &fn)
-{
-    switch (stmt.kind()) {
-      case StmtKind::Block:
-        for (auto &child : static_cast<BlockStmt &>(stmt).body)
-            walkExprs(*child, fn);
-        return;
-      case StmtKind::VarDecl:
-        walkExprTree(static_cast<VarDeclStmt &>(stmt).init, fn);
-        return;
-      case StmtKind::If: {
-        auto &if_stmt = static_cast<IfStmt &>(stmt);
-        walkExprTree(if_stmt.cond, fn);
-        walkExprs(*if_stmt.thenStmt, fn);
-        if (if_stmt.elseStmt)
-            walkExprs(*if_stmt.elseStmt, fn);
-        return;
-      }
-      case StmtKind::While: {
-        auto &while_stmt = static_cast<WhileStmt &>(stmt);
-        walkExprTree(while_stmt.cond, fn);
-        walkExprs(*while_stmt.body, fn);
-        return;
-      }
-      case StmtKind::For: {
-        auto &for_stmt = static_cast<ForStmt &>(stmt);
-        if (for_stmt.init)
-            walkExprs(*for_stmt.init, fn);
-        walkExprTree(for_stmt.cond, fn);
-        walkExprTree(for_stmt.step, fn);
-        walkExprs(*for_stmt.body, fn);
-        return;
-      }
-      case StmtKind::Return:
-        walkExprTree(static_cast<ReturnStmt &>(stmt).value, fn);
-        return;
-      case StmtKind::Break:
-      case StmtKind::Continue:
-        return;
-      case StmtKind::ExprStmt:
-        walkExprTree(static_cast<ExprStmt &>(stmt).expr, fn);
-        return;
-    }
-}
-
-void
-walkStmtLists(Stmt &stmt,
-              const std::function<void(std::vector<StmtPtr> &)> &fn)
-{
-    switch (stmt.kind()) {
-      case StmtKind::Block: {
-        auto &block = static_cast<BlockStmt &>(stmt);
-        for (auto &child : block.body)
-            walkStmtLists(*child, fn);
-        fn(block.body);
-        return;
-      }
-      case StmtKind::If: {
-        auto &if_stmt = static_cast<IfStmt &>(stmt);
-        walkStmtLists(*if_stmt.thenStmt, fn);
-        if (if_stmt.elseStmt)
-            walkStmtLists(*if_stmt.elseStmt, fn);
-        return;
-      }
-      case StmtKind::While:
-        walkStmtLists(*static_cast<WhileStmt &>(stmt).body, fn);
-        return;
-      case StmtKind::For: {
-        auto &for_stmt = static_cast<ForStmt &>(stmt);
-        if (for_stmt.init)
-            walkStmtLists(*for_stmt.init, fn);
-        walkStmtLists(*for_stmt.body, fn);
-        return;
-      }
-      default:
-        return;
-    }
-}
 
 namespace
 {
@@ -162,39 +23,20 @@ wrapInBlock(StmtPtr &stmt)
     stmt = std::move(block);
 }
 
+/**
+ * Invoke `fn` on every statement list (block body) of a function,
+ * innermost first and the function body's own list last; `fn` may
+ * erase or replace statements.
+ */
+template <typename Fn>
 void
-normalizeStmt(Stmt &stmt)
+forEachStmtList(BlockStmt &body, Fn &&fn)
 {
-    switch (stmt.kind()) {
-      case StmtKind::Block:
-        for (auto &child : static_cast<BlockStmt &>(stmt).body)
-            normalizeStmt(*child);
-        return;
-      case StmtKind::If: {
-        auto &if_stmt = static_cast<IfStmt &>(stmt);
-        wrapInBlock(if_stmt.thenStmt);
-        if (if_stmt.elseStmt)
-            wrapInBlock(if_stmt.elseStmt);
-        normalizeStmt(*if_stmt.thenStmt);
-        if (if_stmt.elseStmt)
-            normalizeStmt(*if_stmt.elseStmt);
-        return;
-      }
-      case StmtKind::While: {
-        auto &while_stmt = static_cast<WhileStmt &>(stmt);
-        wrapInBlock(while_stmt.body);
-        normalizeStmt(*while_stmt.body);
-        return;
-      }
-      case StmtKind::For: {
-        auto &for_stmt = static_cast<ForStmt &>(stmt);
-        wrapInBlock(for_stmt.body);
-        normalizeStmt(*for_stmt.body);
-        return;
-      }
-      default:
-        return;
-    }
+    walkSlots(body, [&](StmtPtr &stmt) {
+        if (stmt->kind() == StmtKind::Block)
+            fn(static_cast<BlockStmt &>(*stmt).body);
+    });
+    fn(body.body);
 }
 
 } // namespace
@@ -202,47 +44,37 @@ normalizeStmt(Stmt &stmt)
 void
 normalizeBodies(FunctionDecl &func)
 {
-    if (func.body)
-        normalizeStmt(*func.body);
+    if (!func.body)
+        return;
+    walkSlots(*func.body, [](StmtPtr &stmt) {
+        switch (stmt->kind()) {
+          case StmtKind::If: {
+            auto &if_stmt = static_cast<IfStmt &>(*stmt);
+            wrapInBlock(if_stmt.thenStmt);
+            wrapInBlock(if_stmt.elseStmt);
+            return;
+          }
+          case StmtKind::While:
+            wrapInBlock(static_cast<WhileStmt &>(*stmt).body);
+            return;
+          case StmtKind::For:
+            wrapInBlock(static_cast<ForStmt &>(*stmt).body);
+            return;
+          default:
+            return;
+        }
+    });
 }
 
 bool
 isPureExpr(const Expr &expr)
 {
-    switch (expr.kind()) {
-      case ExprKind::IntLit:
-      case ExprKind::FloatLit:
-      case ExprKind::StrLit:
-      case ExprKind::VarRef:
-      case ExprKind::SizeOf:
-        return true;
-      case ExprKind::Unary:
-        return isPureExpr(
-            *static_cast<const UnaryExpr &>(expr).operand);
-      case ExprKind::Binary: {
-        const auto &bin = static_cast<const BinaryExpr &>(expr);
-        return isPureExpr(*bin.lhs) && isPureExpr(*bin.rhs);
-      }
-      case ExprKind::Cond: {
-        const auto &cond = static_cast<const CondExpr &>(expr);
-        return isPureExpr(*cond.cond) && isPureExpr(*cond.thenExpr) &&
-               isPureExpr(*cond.elseExpr);
-      }
-      case ExprKind::Index: {
-        const auto &index = static_cast<const IndexExpr &>(expr);
-        return isPureExpr(*index.base) && isPureExpr(*index.index);
-      }
-      case ExprKind::Member:
-        return isPureExpr(
-            *static_cast<const MemberExpr &>(expr).base);
-      case ExprKind::Cast:
-        return isPureExpr(
-            *static_cast<const CastExpr &>(expr).operand);
-      case ExprKind::Assign:
-      case ExprKind::Call:
-        return false;
-    }
-    return false;
+    bool pure = true;
+    walkNodes(expr, [&](const Expr &node) {
+        pure = pure && node.kind() != ExprKind::Assign &&
+               node.kind() != ExprKind::Call;
+    });
+    return pure;
 }
 
 bool
@@ -394,7 +226,7 @@ ConstFoldPass::run(FunctionDecl &func, const Traits &) const
     if (!func.body)
         return;
 
-    walkExprs(*func.body, [](ExprPtr &expr) {
+    walkSlots(*func.body, [](ExprPtr &expr) {
         switch (expr->kind()) {
           case ExprKind::Binary: {
             auto &bin = static_cast<BinaryExpr &>(*expr);
@@ -513,7 +345,7 @@ ConstFoldPass::run(FunctionDecl &func, const Traits &) const
     });
 
     // Statement-level: fold branches with literal conditions.
-    walkStmtLists(*func.body, [](std::vector<StmtPtr> &list) {
+    forEachStmtList(*func.body, [](std::vector<StmtPtr> &list) {
         for (std::size_t i = 0; i < list.size();) {
             Stmt &stmt = *list[i];
             if (stmt.kind() == StmtKind::If) {
@@ -606,7 +438,7 @@ UbGuardFoldPass::run(FunctionDecl &func, const Traits &) const
 {
     if (!func.body)
         return;
-    walkExprs(*func.body, [](ExprPtr &expr) {
+    walkSlots(*func.body, [](ExprPtr &expr) {
         if (expr->kind() != ExprKind::Binary)
             return;
         auto &bin = static_cast<BinaryExpr &>(*expr);
@@ -663,7 +495,7 @@ AlwaysTrueIncCmpPass::run(FunctionDecl &func, const Traits &) const
         return true;
     };
 
-    walkExprs(*func.body, [&](ExprPtr &expr) {
+    walkSlots(*func.body, [&](ExprPtr &expr) {
         if (expr->kind() != ExprKind::Binary)
             return;
         auto &bin = static_cast<BinaryExpr &>(*expr);
@@ -744,7 +576,7 @@ WidenMulPass::run(FunctionDecl &func, const Traits &) const
     // implementation may perform that arithmetic directly in 64 bits
     // (signed overflow would be UB, so the wrapped 32-bit result is
     // not owed to anyone).
-    walkExprs(*func.body, [](ExprPtr &expr) {
+    walkSlots(*func.body, [](ExprPtr &expr) {
         switch (expr->kind()) {
           case ExprKind::Binary: {
             auto &bin = static_cast<BinaryExpr &>(*expr);
@@ -772,7 +604,7 @@ WidenMulPass::run(FunctionDecl &func, const Traits &) const
     });
 
     // Declarations `long x = <int arithmetic>;`.
-    walkStmtLists(*func.body, [](std::vector<StmtPtr> &list) {
+    forEachStmtList(*func.body, [](std::vector<StmtPtr> &list) {
         for (auto &stmt : list) {
             if (stmt->kind() != StmtKind::VarDecl)
                 continue;
@@ -798,7 +630,7 @@ DeadStoreElimPass::run(FunctionDecl &func, const Traits &) const
     std::vector<int> plain_targets(num_locals, 0);
     std::vector<bool> escaped(num_locals, false);
 
-    walkExprs(*func.body, [&](ExprPtr &expr) {
+    walkSlots(*func.body, [&](ExprPtr &expr) {
         switch (expr->kind()) {
           case ExprKind::VarRef: {
             auto &ref = static_cast<VarRefExpr &>(*expr);
@@ -846,7 +678,7 @@ DeadStoreElimPass::run(FunctionDecl &func, const Traits &) const
         return occurrences[i] - plain_targets[i] <= 0;
     };
 
-    walkStmtLists(*func.body, [&](std::vector<StmtPtr> &list) {
+    forEachStmtList(*func.body, [&](std::vector<StmtPtr> &list) {
         for (std::size_t i = 0; i < list.size();) {
             Stmt &stmt = *list[i];
             bool erase = false;
@@ -918,7 +750,7 @@ isNullLiteral(const Expr &expr)
 void
 collectAssigned(Stmt &stmt, std::vector<int> &out)
 {
-    walkExprs(stmt, [&](ExprPtr &expr) {
+    walkSlots(stmt, [&](ExprPtr &expr) {
         if (expr->kind() != ExprKind::Assign)
             return;
         auto &assign = static_cast<AssignExpr &>(*expr);
@@ -1122,7 +954,7 @@ class NullExploiter
     void
     rewriteLoads(ExprPtr &root, const NullFacts &facts)
     {
-        walkExprTree(root, [&](ExprPtr &expr) {
+        walkSlots(root, [&](ExprPtr &expr) {
             // Never rewrite the *target* of an assignment here; store
             // elision is handled at statement level.
             if (isNullDeref(*expr, facts) && expr->type &&
@@ -1180,7 +1012,7 @@ SeededMiscompilePass::run(FunctionDecl &func,
 {
     if (!func.body)
         return;
-    walkExprs(*func.body, [&](ExprPtr &expr) {
+    walkSlots(*func.body, [&](ExprPtr &expr) {
         if (expr->kind() != ExprKind::Binary)
             return;
         auto &bin = static_cast<BinaryExpr &>(*expr);

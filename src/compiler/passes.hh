@@ -25,7 +25,6 @@
  * defects used to reproduce the paper's compiler-bug findings (RQ2).
  */
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -148,27 +147,6 @@ class SeededMiscompilePass : public Pass
 
 /** The standard pass pipeline, in execution order. */
 const std::vector<std::unique_ptr<Pass>> &standardPasses();
-
-// --- Shared AST-walking utilities (exposed for tests) ---------------
-
-/**
- * Invoke `fn` on every expression slot reachable from a statement
- * subtree, children first; `fn` may replace the pointed-to node.
- */
-void walkExprs(minic::Stmt &stmt,
-               const std::function<void(minic::ExprPtr &)> &fn);
-
-/** Same, over one expression tree (including the root slot). */
-void walkExprTree(minic::ExprPtr &expr,
-                  const std::function<void(minic::ExprPtr &)> &fn);
-
-/**
- * Invoke `fn` on every statement list (block bodies) in the subtree,
- * innermost first; `fn` may erase or replace statements.
- */
-void walkStmtLists(
-    minic::Stmt &stmt,
-    const std::function<void(std::vector<minic::StmtPtr> &)> &fn);
 
 /**
  * Wrap single-statement if/while/for bodies in blocks so that

@@ -15,6 +15,18 @@ namespace compdiff::fuzz
 
 using support::Bytes;
 
+namespace
+{
+
+/** Mutations attempted per selected seed. */
+constexpr std::uint32_t kEnergyBase = 16;
+
+/** Plot rows per campaign: one sample every maxExecs / kPlotRows
+ *  executions (Fuzzer::plotData()). */
+constexpr std::uint64_t kPlotRows = 50;
+
+} // namespace
+
 Fuzzer::Fuzzer(const minic::Program &program,
                std::vector<Bytes> initial_seeds, FuzzOptions options)
     : program_(program), options_(std::move(options)),
@@ -299,9 +311,7 @@ Fuzzer::run()
 {
     obs::Span campaign_span("fuzz.campaign");
     const std::uint64_t plot_every =
-        options_.plotEvery
-            ? options_.plotEvery
-            : std::max<std::uint64_t>(options_.maxExecs / 50, 1);
+        std::max<std::uint64_t>(options_.maxExecs / kPlotRows, 1);
     haltedByHook_ = false;
 
     // A checkpoint taken at shutdown of a *finished* campaign is the
@@ -357,9 +367,7 @@ Fuzzer::run()
         }
 
         for (std::uint32_t i = 0;
-             i < options_.energyBase &&
-             stats_.execs < options_.maxExecs;
-             i++) {
+             i < kEnergyBase && stats_.execs < options_.maxExecs; i++) {
             Bytes child;
             {
                 obs::Span span("fuzz.mutate");

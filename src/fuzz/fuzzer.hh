@@ -154,20 +154,11 @@ struct FuzzOptions
     bool divergenceFeedback = false;
 
     vm::VmLimits limits;
-    /** Mutations attempted per selected seed. */
-    std::uint32_t energyBase = 16;
 
     // Files and post-campaign triage are *not* configured here:
     // session::SessionConfig carries the fuzzer_stats / plot_data
     // paths and the triage knobs, and session::CampaignSession
     // writes the files and feeds the divergence records to reduce::.
-
-    /**
-     * Plot sampling interval in executions; 0 picks maxExecs/50.
-     * The series (~50 small rows) is available through
-     * Fuzzer::plotData().
-     */
-    std::uint64_t plotEvery = 0;
 };
 
 /** Campaign statistics. */

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <sstream>
 
+#include "obs/json.hh"
 #include "support/table.hh"
 
 namespace compdiff::obs
@@ -14,24 +15,6 @@ namespace compdiff::obs
 
 namespace
 {
-
-std::string
-jsonEscape(std::string_view text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            out += ' ';
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
 
 std::atomic<std::uint32_t> nextTid{0};
 

@@ -1,10 +1,12 @@
 #include "reduce/program_reducer.hh"
 
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "minic/parser.hh"
 #include "minic/printer.hh"
+#include "minic/walk.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "support/diagnostics.hh"
@@ -27,133 +29,20 @@ struct NodeCounts
     std::size_t nodes = 0; ///< every statement + expression
 };
 
-void countExpr(const Expr &expr, NodeCounts &counts);
-
-void
-countMaybeExpr(const ExprPtr &expr, NodeCounts &counts)
-{
-    if (expr)
-        countExpr(*expr, counts);
-}
-
-void
-countExpr(const Expr &expr, NodeCounts &counts)
-{
-    counts.nodes++;
-    switch (expr.kind()) {
-    case ExprKind::Unary:
-        countExpr(*static_cast<const UnaryExpr &>(expr).operand,
-                  counts);
-        break;
-    case ExprKind::Binary: {
-        const auto &bin = static_cast<const BinaryExpr &>(expr);
-        countExpr(*bin.lhs, counts);
-        countExpr(*bin.rhs, counts);
-        break;
-    }
-    case ExprKind::Assign: {
-        const auto &assign = static_cast<const AssignExpr &>(expr);
-        countExpr(*assign.target, counts);
-        countExpr(*assign.value, counts);
-        break;
-    }
-    case ExprKind::Cond: {
-        const auto &cond = static_cast<const CondExpr &>(expr);
-        countExpr(*cond.cond, counts);
-        countExpr(*cond.thenExpr, counts);
-        countExpr(*cond.elseExpr, counts);
-        break;
-    }
-    case ExprKind::Call:
-        for (const auto &arg :
-             static_cast<const CallExpr &>(expr).args)
-            countExpr(*arg, counts);
-        break;
-    case ExprKind::Index: {
-        const auto &index = static_cast<const IndexExpr &>(expr);
-        countExpr(*index.base, counts);
-        countExpr(*index.index, counts);
-        break;
-    }
-    case ExprKind::Member:
-        countExpr(*static_cast<const MemberExpr &>(expr).base,
-                  counts);
-        break;
-    case ExprKind::Cast:
-        countExpr(*static_cast<const CastExpr &>(expr).operand,
-                  counts);
-        break;
-    default:
-        break;
-    }
-}
-
-void
-countStmt(const Stmt &stmt, NodeCounts &counts)
-{
-    counts.nodes++;
-    switch (stmt.kind()) {
-    case StmtKind::Block:
-        for (const auto &child :
-             static_cast<const BlockStmt &>(stmt).body)
-            countStmt(*child, counts);
-        return; // blocks are glue, not statements
-    case StmtKind::VarDecl:
-        counts.stmts++;
-        countMaybeExpr(static_cast<const VarDeclStmt &>(stmt).init,
-                       counts);
-        return;
-    case StmtKind::If: {
-        counts.stmts++;
-        const auto &branch = static_cast<const IfStmt &>(stmt);
-        countExpr(*branch.cond, counts);
-        countStmt(*branch.thenStmt, counts);
-        if (branch.elseStmt)
-            countStmt(*branch.elseStmt, counts);
-        return;
-    }
-    case StmtKind::While: {
-        counts.stmts++;
-        const auto &loop = static_cast<const WhileStmt &>(stmt);
-        countExpr(*loop.cond, counts);
-        countStmt(*loop.body, counts);
-        return;
-    }
-    case StmtKind::For: {
-        counts.stmts++;
-        const auto &loop = static_cast<const ForStmt &>(stmt);
-        if (loop.init)
-            countStmt(*loop.init, counts);
-        countMaybeExpr(loop.cond, counts);
-        countMaybeExpr(loop.step, counts);
-        countStmt(*loop.body, counts);
-        return;
-    }
-    case StmtKind::Return:
-        counts.stmts++;
-        countMaybeExpr(static_cast<const ReturnStmt &>(stmt).value,
-                       counts);
-        return;
-    case StmtKind::ExprStmt:
-        counts.stmts++;
-        countExpr(*static_cast<const ExprStmt &>(stmt).expr,
-                  counts);
-        return;
-    case StmtKind::Break:
-    case StmtKind::Continue:
-        counts.stmts++;
-        return;
-    }
-}
-
 NodeCounts
 countProgram(const Program &program)
 {
     NodeCounts counts;
+    const auto count = [&](const auto &node) {
+        counts.nodes++;
+        if constexpr (std::is_same_v<decltype(node), const Stmt &>)
+            counts.stmts += node.kind() != StmtKind::Block;
+    };
     for (const auto &func : program.functions)
-        countStmt(*func->body, counts);
+        walkNodes(*func->body, count);
     for (const auto &global : program.globals)
-        countMaybeExpr(global->init, counts);
+        if (global->init)
+            walkNodes(*global->init, count);
     return counts;
 }
 

@@ -9,6 +9,7 @@
 
 #include "minic/parser.hh"
 #include "minic/printer.hh"
+#include "minic/walk.hh"
 #include "support/diagnostics.hh"
 #include "support/hash.hh"
 
@@ -19,124 +20,6 @@ namespace
 {
 
 using namespace minic;
-
-// ---------------------------------------------------------------
-// Generic traversal helpers
-// ---------------------------------------------------------------
-
-/** Apply `fn` to every expression in the subtree, children first. */
-void
-forEachExpr(ExprPtr &expr, const std::function<void(ExprPtr &)> &fn)
-{
-    if (!expr)
-        return;
-    switch (expr->kind()) {
-    case ExprKind::IntLit:
-    case ExprKind::FloatLit:
-    case ExprKind::StrLit:
-    case ExprKind::VarRef:
-    case ExprKind::SizeOf:
-        break;
-    case ExprKind::Unary:
-        forEachExpr(static_cast<UnaryExpr &>(*expr).operand, fn);
-        break;
-    case ExprKind::Binary: {
-        auto &bin = static_cast<BinaryExpr &>(*expr);
-        forEachExpr(bin.lhs, fn);
-        forEachExpr(bin.rhs, fn);
-        break;
-    }
-    case ExprKind::Assign: {
-        auto &assign = static_cast<AssignExpr &>(*expr);
-        forEachExpr(assign.target, fn);
-        forEachExpr(assign.value, fn);
-        break;
-    }
-    case ExprKind::Cond: {
-        auto &cond = static_cast<CondExpr &>(*expr);
-        forEachExpr(cond.cond, fn);
-        forEachExpr(cond.thenExpr, fn);
-        forEachExpr(cond.elseExpr, fn);
-        break;
-    }
-    case ExprKind::Call:
-        for (auto &arg : static_cast<CallExpr &>(*expr).args)
-            forEachExpr(arg, fn);
-        break;
-    case ExprKind::Index: {
-        auto &index = static_cast<IndexExpr &>(*expr);
-        forEachExpr(index.base, fn);
-        forEachExpr(index.index, fn);
-        break;
-    }
-    case ExprKind::Member:
-        forEachExpr(static_cast<MemberExpr &>(*expr).base, fn);
-        break;
-    case ExprKind::Cast:
-        forEachExpr(static_cast<CastExpr &>(*expr).operand, fn);
-        break;
-    }
-    fn(expr);
-}
-
-/** Apply `fn` to every statement (children first) and every
- *  expression hanging off each statement. */
-void
-forEachStmt(StmtPtr &stmt, const std::function<void(StmtPtr &)> &sfn,
-            const std::function<void(ExprPtr &)> &efn)
-{
-    if (!stmt)
-        return;
-    switch (stmt->kind()) {
-    case StmtKind::Block:
-        for (auto &child : static_cast<BlockStmt &>(*stmt).body)
-            forEachStmt(child, sfn, efn);
-        break;
-    case StmtKind::VarDecl:
-        forEachExpr(static_cast<VarDeclStmt &>(*stmt).init, efn);
-        break;
-    case StmtKind::If: {
-        auto &ifs = static_cast<IfStmt &>(*stmt);
-        forEachExpr(ifs.cond, efn);
-        forEachStmt(ifs.thenStmt, sfn, efn);
-        forEachStmt(ifs.elseStmt, sfn, efn);
-        break;
-    }
-    case StmtKind::While: {
-        auto &loop = static_cast<WhileStmt &>(*stmt);
-        forEachExpr(loop.cond, efn);
-        forEachStmt(loop.body, sfn, efn);
-        break;
-    }
-    case StmtKind::For: {
-        auto &loop = static_cast<ForStmt &>(*stmt);
-        forEachStmt(loop.init, sfn, efn);
-        forEachExpr(loop.cond, efn);
-        forEachExpr(loop.step, efn);
-        forEachStmt(loop.body, sfn, efn);
-        break;
-    }
-    case StmtKind::Return:
-        forEachExpr(static_cast<ReturnStmt &>(*stmt).value, efn);
-        break;
-    case StmtKind::Break:
-    case StmtKind::Continue:
-        break;
-    case StmtKind::ExprStmt:
-        forEachExpr(static_cast<ExprStmt &>(*stmt).expr, efn);
-        break;
-    }
-    sfn(stmt);
-}
-
-void
-forEachInFunction(FunctionDecl &func,
-                  const std::function<void(StmtPtr &)> &sfn,
-                  const std::function<void(ExprPtr &)> &efn)
-{
-    for (auto &stmt : func.body->body)
-        forEachStmt(stmt, sfn, efn);
-}
 
 // ---------------------------------------------------------------
 // Pass 1: dead-code strip
@@ -153,36 +36,10 @@ isTerminator(const Stmt &stmt)
 bool
 containsVarDecl(const Stmt &stmt)
 {
-    if (stmt.kind() == StmtKind::VarDecl)
-        return true;
     bool found = false;
-    // forEachStmt needs a mutable StmtPtr; a read-only scan is
-    // cheaper done by hand.
-    switch (stmt.kind()) {
-    case StmtKind::Block:
-        for (const auto &child :
-             static_cast<const BlockStmt &>(stmt).body)
-            found = found || containsVarDecl(*child);
-        break;
-    case StmtKind::If: {
-        const auto &ifs = static_cast<const IfStmt &>(stmt);
-        found = containsVarDecl(*ifs.thenStmt) ||
-                (ifs.elseStmt && containsVarDecl(*ifs.elseStmt));
-        break;
-    }
-    case StmtKind::While:
-        found = containsVarDecl(
-            *static_cast<const WhileStmt &>(stmt).body);
-        break;
-    case StmtKind::For: {
-        const auto &loop = static_cast<const ForStmt &>(stmt);
-        found = (loop.init && containsVarDecl(*loop.init)) ||
-                containsVarDecl(*loop.body);
-        break;
-    }
-    default:
-        break;
-    }
+    walkNodes(stmt, [&](const Stmt &node) {
+        found = found || node.kind() == StmtKind::VarDecl;
+    });
     return found;
 }
 
@@ -246,13 +103,13 @@ stripUnreachableTails(StmtPtr &stmt)
 
 /** Callee names (user functions only) in call-site order. */
 std::vector<std::string>
-calleesOf(FunctionDecl &func)
+calleesOf(const FunctionDecl &func)
 {
     std::vector<std::string> callees;
-    forEachInFunction(func, [](StmtPtr &) {}, [&](ExprPtr &expr) {
-        if (expr->kind() != ExprKind::Call)
+    walkNodes(*func.body, [&](const Expr &expr) {
+        if (expr.kind() != ExprKind::Call)
             return;
-        auto &call = static_cast<CallExpr &>(*expr);
+        const auto &call = static_cast<const CallExpr &>(expr);
         if (call.builtin == Builtin::None)
             callees.push_back(call.callee);
     });
@@ -352,46 +209,32 @@ renameProgram(Program &program)
         // The child-first statement walk still visits VarDecls in
         // textual order (a declaration has no VarDecl descendants),
         // so numbering follows the source.
-        forEachInFunction(
-            *func,
-            [&](StmtPtr &stmt) {
-                if (stmt->kind() != StmtKind::VarDecl)
-                    return;
-                auto &decl = static_cast<VarDeclStmt &>(*stmt);
-                if (!local_names.count(decl.localId))
-                    local_names[decl.localId] =
-                        "cv" + std::to_string(next_local++);
-                decl.name = local_names[decl.localId];
-            },
-            [](ExprPtr &) {});
-        forEachInFunction(
-            *func, [](StmtPtr &) {},
-            [&](ExprPtr &expr) {
-                if (expr->kind() != ExprKind::VarRef)
-                    return;
+        walkSlots(*func->body, [&](StmtPtr &stmt) {
+            if (stmt->kind() != StmtKind::VarDecl)
+                return;
+            auto &decl = static_cast<VarDeclStmt &>(*stmt);
+            if (!local_names.count(decl.localId))
+                local_names[decl.localId] =
+                    "cv" + std::to_string(next_local++);
+            decl.name = local_names[decl.localId];
+        });
+        walkSlots(*func->body, [&](ExprPtr &expr) {
+            if (expr->kind() == ExprKind::VarRef) {
                 auto &ref = static_cast<VarRefExpr &>(*expr);
-                if (ref.isGlobal) {
-                    auto it = global_names.find(ref.id);
-                    if (it != global_names.end())
-                        ref.name = it->second;
-                } else {
-                    auto it = local_names.find(ref.id);
-                    if (it != local_names.end())
-                        ref.name = it->second;
-                }
-            });
-        forEachInFunction(
-            *func, [](StmtPtr &) {},
-            [&](ExprPtr &expr) {
-                if (expr->kind() != ExprKind::Call)
-                    return;
+                const auto &names =
+                    ref.isGlobal ? global_names : local_names;
+                auto it = names.find(ref.id);
+                if (it != names.end())
+                    ref.name = it->second;
+            } else if (expr->kind() == ExprKind::Call) {
                 auto &call = static_cast<CallExpr &>(*expr);
                 if (call.builtin != Builtin::None)
                     return;
                 auto it = func_names.find(call.callee);
                 if (it != func_names.end())
                     call.callee = it->second;
-            });
+            }
+        });
     }
 }
 
@@ -464,30 +307,27 @@ void
 sortCommutativeOperands(Program &program)
 {
     for (auto &func : program.functions) {
-        forEachInFunction(
-            *func, [](StmtPtr &) {},
-            [](ExprPtr &expr) {
-                if (expr->kind() != ExprKind::Binary)
-                    return;
-                auto &bin = static_cast<BinaryExpr &>(*expr);
-                if (!isCommutative(bin.op))
-                    return;
-                // Literals stay where they were written: the
-                // UB-exploiting and seeded-miscompile passes match
-                // constants on specific operand sides, and a merge
-                // key must never change what the compilers do.
-                if (isLiteral(*bin.lhs) || isLiteral(*bin.rhs))
-                    return;
-                if (!bin.lhs->type || !bin.rhs->type ||
-                    !bin.lhs->type->isInteger() ||
-                    !bin.rhs->type->isInteger())
-                    return;
-                if (!isReorderSafe(*bin.lhs) ||
-                    !isReorderSafe(*bin.rhs))
-                    return;
-                if (printExpr(*bin.rhs) < printExpr(*bin.lhs))
-                    std::swap(bin.lhs, bin.rhs);
-            });
+        walkSlots(*func->body, [](ExprPtr &expr) {
+            if (expr->kind() != ExprKind::Binary)
+                return;
+            auto &bin = static_cast<BinaryExpr &>(*expr);
+            if (!isCommutative(bin.op))
+                return;
+            // Literals stay where they were written: the UB-exploiting
+            // and seeded-miscompile passes match constants on specific
+            // operand sides, and a merge key must never change what
+            // the compilers do.
+            if (isLiteral(*bin.lhs) || isLiteral(*bin.rhs))
+                return;
+            if (!bin.lhs->type || !bin.rhs->type ||
+                !bin.lhs->type->isInteger() ||
+                !bin.rhs->type->isInteger())
+                return;
+            if (!isReorderSafe(*bin.lhs) || !isReorderSafe(*bin.rhs))
+                return;
+            if (printExpr(*bin.rhs) < printExpr(*bin.lhs))
+                std::swap(bin.lhs, bin.rhs);
+        });
     }
 }
 
@@ -518,29 +358,12 @@ asSortableAssign(const Stmt &stmt)
 void
 collectReads(const Expr &expr, std::set<std::pair<bool, int>> *out)
 {
-    // const_cast-free re-walk: clone is too heavy here, so walk the
-    // const tree manually with a small recursion.
-    switch (expr.kind()) {
-    case ExprKind::VarRef: {
-        const auto &ref = static_cast<const VarRefExpr &>(expr);
+    walkNodes(expr, [&](const Expr &node) {
+        if (node.kind() != ExprKind::VarRef)
+            return;
+        const auto &ref = static_cast<const VarRefExpr &>(node);
         out->insert({ref.isGlobal, ref.id});
-        break;
-    }
-    case ExprKind::Unary:
-        collectReads(*static_cast<const UnaryExpr &>(expr).operand,
-                     out);
-        break;
-    case ExprKind::Binary: {
-        const auto &bin = static_cast<const BinaryExpr &>(expr);
-        collectReads(*bin.lhs, out);
-        collectReads(*bin.rhs, out);
-        break;
-    }
-    default:
-        // Reorder-safe expressions only reach literals, VarRef,
-        // unary, and binary nodes (see isReorderSafe).
-        break;
-    }
+    });
 }
 
 bool
@@ -561,10 +384,7 @@ independentAssigns(const AssignExpr &a, const AssignExpr &b)
 void
 sortIndependentStatements(Program &program)
 {
-    auto sort_block = [](StmtPtr &stmt) {
-        if (stmt->kind() != StmtKind::Block)
-            return;
-        auto &body = static_cast<BlockStmt &>(*stmt).body;
+    auto sort_block = [](std::vector<StmtPtr> &body) {
         // Bubble to a fixpoint: adjacent sortable, independent,
         // out-of-(printed)-order pairs swap. Terminates because each
         // swap strictly reduces the number of swappable inversions.
@@ -586,11 +406,13 @@ sortIndependentStatements(Program &program)
         }
     };
     for (auto &func : program.functions) {
-        // The function body itself is a block the statement walk
-        // does not wrap in a StmtPtr; sort it directly.
-        StmtPtr root(func->body.release());
-        forEachStmt(root, sort_block, [](ExprPtr &) {});
-        func->body.reset(static_cast<BlockStmt *>(root.release()));
+        // Inner blocks first; the function body has no slot of its
+        // own, so its list goes last.
+        walkSlots(*func->body, [&](StmtPtr &stmt) {
+            if (stmt->kind() == StmtKind::Block)
+                sort_block(static_cast<BlockStmt &>(*stmt).body);
+        });
+        sort_block(func->body->body);
     }
 }
 

@@ -48,10 +48,9 @@ struct DivergenceRecord
 
 /**
  * Post-campaign triage knobs — the single carrier for "what happens
- * to what the campaign found". FuzzOptions and CampaignOptions no
- * longer grow per-consumer copies of these fields; every driver
- * hands a TriageOptions to the session (or to reduce::reduceRecords
- * directly).
+ * to what the campaign found". FuzzOptions holds no copies of these
+ * fields; every campaign front end hands a TriageOptions to the
+ * session (or to reduce::reduceRecords directly).
  */
 struct TriageOptions
 {

@@ -213,8 +213,11 @@ CampaignSession::campaignFingerprint() const
     h.add(o.maxExecs);
     h.add(o.rngSeed);
     h.add(o.maxInputSize);
-    h.add(o.energyBase);
-    h.add(o.plotEvery);
+    // Fixed values that every fingerprint has always covered, kept in
+    // place so existing sessions still resume: the fuzzer's energy
+    // (16 mutations per seed) and plot interval (0 = maxExecs / 50).
+    h.add(16);
+    h.add(0);
     h.addString(o.fuzzConfig.name());
     h.add(o.enableCompDiff ? 1 : 0);
     h.add(o.divergenceFeedback ? 1 : 0);
@@ -229,8 +232,9 @@ CampaignSession::campaignFingerprint() const
     h.add(o.limits.maxOutput);
     h.add(o.limits.maxCallDepth);
     h.add(o.diffOptions.retryTimeouts ? 1 : 0);
-    h.add(static_cast<std::uint64_t>(o.diffOptions.timeoutRetries));
-    h.add(o.diffOptions.timeoutBudgetFactor);
+    // Likewise the engine's 3 timeout retries, each at 4x the budget.
+    h.add(3);
+    h.add(4);
     h.add(std::max<std::size_t>(config_.shards, 1));
     h.add(seeds_.size());
     for (const auto &seed : seeds_)

@@ -67,18 +67,26 @@ minimizeWitness(const core::DiffEngine &engine, vm::Vm &probe_vm,
 
 } // namespace
 
-bool
-CampaignResult::foundProbe(int probe_id) const
+session::SessionConfig
+campaignConfig()
 {
-    for (const auto &finding : found)
-        if (finding.probeId == probe_id)
-            return true;
-    return false;
+    session::SessionConfig config;
+    config.fuzz.maxExecs = 60'000;
+    config.fuzz.rngSeed = 0xA11CE;
+    config.fuzz.maxInputSize = 64;
+    config.fuzz.limits = {
+        .maxInstructions = 200'000,
+        .stackSize = 1 << 14,
+        .heapSize = 1 << 15,
+        .maxOutput = 1 << 16,
+        .maxCallDepth = 64,
+    };
+    return config;
 }
 
 CampaignResult
 runCampaign(const TargetProgram &target,
-            const CampaignOptions &options)
+            const session::SessionConfig &config, bool check_sanitizers)
 {
     obs::Span span("campaign." + target.name);
     obs::counter("campaign.targets").add();
@@ -88,40 +96,13 @@ runCampaign(const TargetProgram &target,
 
     auto program = minic::parseAndCheck(target.source);
 
-    fuzz::FuzzOptions fuzz_options;
-    fuzz_options.maxExecs = options.maxExecs;
-    fuzz_options.rngSeed = options.rngSeed;
-    fuzz_options.limits = options.limits;
-    // Record-oriented targets saturate well below AFL's default
-    // input ceiling; a small cap keeps executions short.
-    fuzz_options.maxInputSize = 64;
-    // Output normalization (RQ5): strip the [ts:...] stamps that
-    // targets like netshark embed per run.
-    fuzz_options.diffOptions.normalizer =
-        core::OutputNormalizer::withDefaultFilters();
-
-    fuzz_options.jobs = options.jobs;
-
     // The session owns the lifecycle: configure → run → checkpoint →
-    // resume → triage → report. Ephemeral unless sessionDir is set.
-    session::SessionConfig session_config;
-    if (!options.sessionDir.empty())
-        session_config.dir = options.sessionDir + "/" + target.name;
-    session_config.resume = options.resume;
-    session_config.checkpointEvery = options.checkpointEvery;
-    session_config.haltAfterExecs = options.haltAfterExecs;
-    session_config.fuzz = fuzz_options;
-    session_config.shards = options.shards;
-    session_config.jobs = options.jobs;
-    session_config.triage = options.triage;
-    if (!session_config.triage.reportsDir.empty()) {
+    // resume → triage → report. Ephemeral unless config.dir is set.
+    session::SessionConfig session_config = config;
+    if (!session_config.dir.empty())
+        session_config.dir += "/" + target.name;
+    if (!session_config.triage.reportsDir.empty())
         session_config.triage.reportsDir += "/" + target.name;
-    }
-    if (!options.statsDir.empty()) {
-        const std::string dir = options.statsDir + "/" + target.name;
-        session_config.statsOutPath = dir + "/fuzzer_stats";
-        session_config.plotOutPath = dir + "/plot_data";
-    }
     session::CampaignSession session(*program, target.seeds,
                                      session_config);
     const fuzz::ShardedResult &sharded = session.run();
@@ -164,8 +145,9 @@ runCampaign(const TargetProgram &target,
     }
 
     // Per-bug analysis on *minimized* witnesses.
+    const fuzz::FuzzOptions &fuzz_options = config.fuzz;
     core::DiffOptions diff_options = fuzz_options.diffOptions;
-    diff_options.limits = options.limits;
+    diff_options.limits = fuzz_options.limits;
     core::DiffEngine engine(*program,
                             compiler::standardImplementations(),
                             diff_options);
@@ -173,9 +155,9 @@ runCampaign(const TargetProgram &target,
     const compiler::CompilerConfig probe_config =
         fuzz_options.fuzzConfig;
     auto probe_module = comp.compile(probe_config);
-    vm::Vm probe_vm(probe_module, probe_config, options.limits);
+    vm::Vm probe_vm(probe_module, probe_config, fuzz_options.limits);
 
-    sanitizers::SanitizerRunner runner(*program, options.limits);
+    sanitizers::SanitizerRunner runner(*program, fuzz_options.limits);
     for (const auto &[probe, record] : witness_for) {
         const PlantedBug *bug = target.findBug(probe);
         if (!bug) {
@@ -189,7 +171,7 @@ runCampaign(const TargetProgram &target,
             minimizeWitness(engine, probe_vm, record->input, probe);
         finding.hashVector =
             engine.runInput(finding.witness).hashVector();
-        if (options.checkSanitizers) {
+        if (check_sanitizers) {
             finding.asanFires =
                 runner.check(compiler::Sanitizer::ASan,
                              finding.witness)
@@ -212,11 +194,13 @@ runCampaign(const TargetProgram &target,
 }
 
 std::vector<CampaignResult>
-runAllCampaigns(const CampaignOptions &options)
+runAllCampaigns(const session::SessionConfig &config,
+                bool check_sanitizers)
 {
     std::vector<CampaignResult> results;
     for (const auto &target : allTargets())
-        results.push_back(runCampaign(target, options));
+        results.push_back(
+            runCampaign(target, config, check_sanitizers));
     return results;
 }
 

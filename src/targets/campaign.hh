@@ -15,7 +15,7 @@
 
 #include "fuzz/fuzzer.hh"
 #include "reduce/report.hh"
-#include "session/records.hh"
+#include "session/session.hh"
 #include "targets/targets.hh"
 
 namespace compdiff::targets
@@ -59,7 +59,7 @@ struct CampaignResult
     /** Divergences that fired no probe (must stay empty: they would
      *  be unplanted bugs in the target itself). */
     std::vector<UntriagedDiff> untriaged;
-    /** Reduction outcomes when CampaignOptions::triage.reduceFound,
+    /** Reduction outcomes when config.triage.reduceFound is set,
      *  one per unique divergence in shard-fold order. */
     std::vector<reduce::DivergenceReport> reports;
     /** True when the campaign stopped at a session halt point
@@ -67,83 +67,37 @@ struct CampaignResult
      *  session to finish). */
     bool halted = false;
 
-    bool foundProbe(int probe_id) const;
-
     /** Count view of `untriaged` (the pre-reduction API). */
     std::size_t untriagedDiffs() const { return untriaged.size(); }
 };
 
-/** Campaign knobs. */
-struct CampaignOptions
-{
-    std::uint64_t maxExecs = 60'000;
-    std::uint64_t rngSeed = 0xA11CE;
-    /** Also run the sanitizer checks on each witness (Table 6). */
-    bool checkSanitizers = true;
-    /**
-     * Per-execution limits. The targets are small record parsers;
-     * modest segments keep the per-run setup cost (the forkserver-
-     * analog overhead) low.
-     */
-    vm::VmLimits limits{
-        .maxInstructions = 200'000,
-        .stackSize = 1 << 14,
-        .heapSize = 1 << 15,
-        .maxOutput = 1 << 16,
-        .maxCallDepth = 64,
-    };
+/**
+ * The harness's campaign defaults: 60,000 executions, seed 0xA11CE,
+ * inputs of at most 64 bytes, and per-execution limits of 200k
+ * instructions, a 16 KiB stack and a 32 KiB heap. The targets are
+ * small record parsers that saturate well below AFL's input ceiling,
+ * and modest segments keep the per-run setup cost (the forkserver-
+ * analog overhead) low. One shard, one job, nothing persisted.
+ */
+session::SessionConfig campaignConfig();
 
-    /**
-     * Deterministic work partition: the campaign runs as this many
-     * independent shards (fuzz/sharded.hh). Results depend
-     * on `shards` — changing it changes the campaign — but never on
-     * `jobs`. shards == 1 reproduces the plain single-fuzzer path.
-     */
-    std::size_t shards = 1;
-    /**
-     * Worker threads (0 = one per hardware thread). With shards > 1
-     * the threads run shards; with shards == 1 they run the k-way
-     * oracle. Either way, results are bit-identical for every value.
-     */
-    std::size_t jobs = 1;
-
-    /**
-     * AFL++-style telemetry: when non-empty, each campaign writes
-     * `<statsDir>/<target>/fuzzer_stats` and `.../plot_data`
-     * (directories are created as needed; sharded campaigns write
-     * one `plot_data.shard<N>` series per shard).
-     */
-    std::string statsDir;
-
-    /**
-     * Crash-safe persistence: when non-empty, each campaign runs as
-     * a session::CampaignSession under `<sessionDir>/<target>/` —
-     * checkpointed every `checkpointEvery` shard executions and at
-     * shutdown, resumable with `resume`. Empty runs ephemerally
-     * (same lifecycle, nothing persisted).
-     */
-    std::string sessionDir;
-    bool resume = false;
-    std::uint64_t checkpointEvery = 0;
-    /** Stop every shard at this many shard-local executions (0 =
-     *  run to completion); see SessionConfig::haltAfterExecs. */
-    std::uint64_t haltAfterExecs = 0;
-
-    /**
-     * Post-campaign triage — the single carrier of the reduction /
-     * report knobs (a per-target subdirectory is appended to
-     * triage.reportsDir).
-     */
-    session::TriageOptions triage;
-};
-
-/** Run CompDiff-AFL++ on one target. */
+/**
+ * Run CompDiff-AFL++ on one target as a session::CampaignSession
+ * with `config`, then triage its divergences back to the planted
+ * bugs. A non-empty `config.dir` or `config.triage.reportsDir` names
+ * a parent directory: this target's session and report bundles go
+ * under `<dir>/<target>/`. With `check_sanitizers`, each bug's
+ * minimized witness also runs on the three sanitizer builds
+ * (Table 6).
+ */
 CampaignResult runCampaign(const TargetProgram &target,
-                           const CampaignOptions &options = {});
+                           const session::SessionConfig &config,
+                           bool check_sanitizers);
 
 /** Run campaigns on every target. */
 std::vector<CampaignResult>
-runAllCampaigns(const CampaignOptions &options = {});
+runAllCampaigns(const session::SessionConfig &config,
+                bool check_sanitizers);
 
 /** Aggregate per-column counts over campaign results (Table 5). */
 struct ColumnCounts

@@ -419,10 +419,10 @@ TEST(ReduceCampaign, SurfacesUntriagedWitnesses)
     )";
     target.seeds = {support::toBytes("U")};
 
-    targets::CampaignOptions options;
-    options.maxExecs = 400;
-    options.checkSanitizers = false;
-    auto result = targets::runCampaign(target, options);
+    session::SessionConfig config = targets::campaignConfig();
+    config.fuzz.maxExecs = 400;
+    auto result = targets::runCampaign(target, config,
+                                       /*check_sanitizers=*/false);
 
     ASSERT_GE(result.untriagedDiffs(), 1u);
     for (const auto &untriaged : result.untriaged) {
@@ -438,12 +438,12 @@ TEST(ReduceCampaign, ReduceFoundProducesReports)
         targets::findTarget("pktdump");
     ASSERT_NE(target, nullptr);
 
-    targets::CampaignOptions options;
-    options.maxExecs = 2000;
-    options.checkSanitizers = false;
-    options.triage.reduceFound = true;
-    options.triage.candidateBudget = 200;
-    auto result = targets::runCampaign(*target, options);
+    session::SessionConfig config = targets::campaignConfig();
+    config.fuzz.maxExecs = 2000;
+    config.triage.reduceFound = true;
+    config.triage.candidateBudget = 200;
+    auto result = targets::runCampaign(*target, config,
+                                       /*check_sanitizers=*/false);
 
     ASSERT_GE(result.stats.diffs, 1u);
     ASSERT_EQ(result.reports.size(), result.stats.diffs);

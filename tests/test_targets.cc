@@ -110,9 +110,8 @@ TEST(Targets, CampaignsFindPlantedBugs)
 {
     // A smoke-budget sweep over representative targets; the Table 5
     // bench runs the full-budget campaigns on all thirteen.
-    targets::CampaignOptions options;
-    options.maxExecs = 10'000;
-    options.checkSanitizers = false;
+    session::SessionConfig config = targets::campaignConfig();
+    config.fuzz.maxExecs = 10'000;
 
     std::size_t planted = 0;
     std::size_t found = 0;
@@ -120,7 +119,8 @@ TEST(Targets, CampaignsFindPlantedBugs)
          {"pktdump", "elfread", "arczip", "scriptvm", "jsonq"}) {
         const TargetProgram *target = targets::findTarget(name);
         ASSERT_NE(target, nullptr) << name;
-        auto result = targets::runCampaign(*target, options);
+        auto result = targets::runCampaign(*target, config,
+                                           /*check_sanitizers=*/false);
         planted += target->bugs.size();
         found += result.found.size();
         EXPECT_EQ(result.untriagedDiffs(), 0u)
