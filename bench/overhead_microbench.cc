@@ -103,8 +103,7 @@ BENCHMARK(BM_PhaseParse);
 void
 BM_PhaseCompile(benchmark::State &state)
 {
-    const auto impl =
-        core::ImplementationRegistry::global().make("gcc:-O2");
+    const auto impl = core::makeImplementation("gcc:-O2");
     core::CompileContext ctx;
     ctx.useCache = false; // measure the compile, not the cache hit
     for (auto _ : state) {
@@ -121,8 +120,7 @@ BENCHMARK(BM_PhaseCompile);
 void
 BM_PhaseExecute(benchmark::State &state)
 {
-    const auto impl =
-        core::ImplementationRegistry::global().make("clang:-O2");
+    const auto impl = core::makeImplementation("clang:-O2");
     const auto limits = benchLimits();
     auto artifact = impl->compile(targetProgram());
     auto executor = impl->makeExecutor(artifact, limits);
@@ -152,8 +150,7 @@ BM_CompDiff(benchmark::State &state)
     if (k == 2) {
         // The paper's budget recommendation: different vendors with
         // unoptimizing / aggressively optimizing levels.
-        subset = core::ImplementationRegistry::global().parse(
-            "gcc:-O0,clang:-O3");
+        subset = core::parseImplementations("gcc:-O0,clang:-O3");
     } else {
         const auto impls = core::paper10Implementations();
         subset.assign(impls.begin(),

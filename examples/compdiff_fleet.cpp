@@ -72,9 +72,6 @@ run(int argc, char **argv)
         "Every flag is forwarded to the worker processes, which "
         "re-exec this binary with --worker.");
     flags.addFlags(table);
-    table.value("--sync-every", "S", &fleet_options.syncSecs,
-                "cross-worker corpus sync cadence in seconds (0 = off, "
-                "the default; syncing forfeits bit-identity)");
     table.value("--workers", "N", &fleet_options.workers,
                 "worker process slots (default 2); rerun with a higher "
                 "N and late joiners pick up unleased shards",
@@ -84,9 +81,6 @@ run(int argc, char **argv)
                 "and exit (rerun the same command to continue)");
     table.value("--poll-every", "S", &fleet_options.pollSecs,
                 "supervision poll interval (default 0.2)");
-    table.value("--status-every", "S", &fleet_options.statusSecs,
-                "print the aggregated monitor table every S seconds "
-                "(0 = off)");
     table.value("--dead-after", "S", &fleet_options.deadAfterSecs,
                 "heartbeat age that marks a worker hung: SIGKILL and "
                 "revive (default 30)");
@@ -107,12 +101,8 @@ run(int argc, char **argv)
     const frontend::Subject subject = flags.load(args, {});
     const auto program = minic::parseAndCheck(subject.source);
 
-    session::SessionConfig config =
+    const session::SessionConfig config =
         flags.sessionConfig(flags.implementations());
-    if (fleet_options.syncSecs > 0) {
-        config.syncPath = flags.sessionDir + "/sync.journal";
-        config.syncSecs = fleet_options.syncSecs;
-    }
     if (worker)
         return fleet::runWorker(*program, subject.seeds, config, spec);
 

@@ -80,12 +80,13 @@ CampaignFlags::addProcessFlags(support::FlagTable &table)
 core::ImplementationSet
 CampaignFlags::implementations() const
 {
-    const auto &registry = core::ImplementationRegistry::global();
-    if (!sancheck())
-        return registry.parse(impls.empty() ? "paper10" : impls);
+    if (!sancheck()) {
+        const std::string specs = impls.empty() ? "paper10" : impls;
+        return core::parseImplementations(specs);
+    }
     core::ImplementationSet set =
         impls.empty() ? sancheck::defaultImplementations()
-                      : registry.parse(impls);
+                      : core::parseImplementations(impls);
     sancheck::validateImpls(set);
     return set;
 }

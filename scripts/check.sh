@@ -164,6 +164,8 @@ smoke() {
     usage_error 'unexpected argument x' "$cli" "$tmp/prog.mc" /dev/null x
     usage_error 'exclude each other' "$cli" --target=pktdump "$tmp/prog.mc"
     usage_error 'unknown option --bogus' "$packetdump" --bogus
+    usage_error 'unknown option --sync-every' "$fleet" --sync-every=30
+    usage_error 'unknown option --status-every' "$fleet" --status-every=10
     usage_error '--watch=abc: expected' "$monitor" --watch=abc "$tmp"
     usage_error 'no larger than 256' "$cli" --jobs=257
     usage_error 'no larger than 256' "$cli" --shards=257

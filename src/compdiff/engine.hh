@@ -143,7 +143,7 @@ class DiffEngine
 
     /**
      * Diff against an explicit implementation set (e.g. from
-     * ImplementationRegistry::parse).
+     * parseImplementations).
      */
     DiffEngine(const minic::Program &program, ImplementationSet impls,
                DiffOptions options = {});

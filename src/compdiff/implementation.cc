@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <map>
-#include <mutex>
 #include <optional>
 
 #include "compiler/cache.hh"
@@ -298,121 +296,61 @@ sanitizerFromArg(const std::string &family, const std::string &arg)
                    "' (expected asan, ubsan, or msan)");
 }
 
-ImplementationRegistry::Factory
-simulatedFamily(compiler::Vendor vendor, const std::string &family)
+/** A gcc or clang spec's args: an optimization level and an
+ *  optional sanitizer ("gcc:-O2" → {"-O2"}). */
+std::shared_ptr<const Implementation>
+simulatedFromArgs(compiler::Vendor vendor, const std::string &family,
+                  const std::vector<std::string> &args)
 {
-    return [vendor,
-            family](const std::vector<std::string> &args)
-               -> std::shared_ptr<const Implementation> {
-        if (args.empty() || args.size() > 2) {
-            support::fatal(
-                "implementation spec '" + family +
-                "' takes an optimization level and an optional "
-                "sanitizer, e.g. '" +
-                family + ":-O2' or '" + family + ":-Os:ubsan'");
-        }
-        compiler::CompilerConfig config;
-        config.vendor = vendor;
-        config.opt = optFromArg(family, args[0]);
-        config.sanitizer =
-            args.size() == 2
-                ? sanitizerFromArg(family, args[1])
-                : compiler::Sanitizer::None;
-        return simulatedImplementation(config);
-    };
+    if (args.empty() || args.size() > 2) {
+        support::fatal("implementation spec '" + family +
+                       "' takes an optimization level and an optional "
+                       "sanitizer, e.g. '" +
+                       family + ":-O2' or '" + family + ":-Os:ubsan'");
+    }
+    compiler::CompilerConfig config;
+    config.vendor = vendor;
+    config.opt = optFromArg(family, args[0]);
+    config.sanitizer = args.size() == 2
+                           ? sanitizerFromArg(family, args[1])
+                           : compiler::Sanitizer::None;
+    return simulatedImplementation(config);
 }
 
 } // namespace
 
-// --- registry ------------------------------------------------------
-
-struct ImplementationRegistry::Impl
-{
-    mutable std::mutex mu;
-    std::map<std::string, Factory> families;
-};
-
-ImplementationRegistry::ImplementationRegistry()
-    : impl_(std::make_unique<Impl>())
-{
-    registerFamily("gcc",
-                   simulatedFamily(compiler::Vendor::Gcc, "gcc"));
-    registerFamily("clang",
-                   simulatedFamily(compiler::Vendor::Clang, "clang"));
-    registerFamily(
-        "ref",
-        [](const std::vector<std::string> &args)
-            -> std::shared_ptr<const Implementation> {
-            if (!args.empty())
-                support::fatal(
-                    "implementation spec 'ref' takes no arguments");
-            return std::make_shared<RefInterpImpl>();
-        });
-}
-
-ImplementationRegistry &
-ImplementationRegistry::global()
-{
-    static ImplementationRegistry instance;
-    return instance;
-}
-
-void
-ImplementationRegistry::registerFamily(const std::string &family,
-                                       Factory factory)
-{
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    impl_->families[family] = std::move(factory);
-}
-
-std::vector<std::string>
-ImplementationRegistry::families() const
-{
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    std::vector<std::string> names;
-    names.reserve(impl_->families.size());
-    for (const auto &[name, factory] : impl_->families)
-        names.push_back(name);
-    return names;
-}
+// --- spec parsing --------------------------------------------------
 
 std::shared_ptr<const Implementation>
-ImplementationRegistry::make(const std::string &spec) const
+makeImplementation(const std::string &spec)
 {
     const std::string text = trim(spec);
     if (text.empty())
         support::fatal("empty implementation spec");
 
-    std::vector<std::string> parts = splitOn(text, ':');
-    const std::string family = parts[0];
-    Factory factory;
-    {
-        std::lock_guard<std::mutex> lock(impl_->mu);
-        auto it = impl_->families.find(family);
-        if (it != impl_->families.end())
-            factory = it->second;
-    }
-    if (factory) {
-        return factory(std::vector<std::string>(parts.begin() + 1,
-                                                parts.end()));
+    const std::vector<std::string> parts = splitOn(text, ':');
+    const std::string &family = parts[0];
+    const std::vector<std::string> args(parts.begin() + 1, parts.end());
+    if (family == "gcc")
+        return simulatedFromArgs(compiler::Vendor::Gcc, family, args);
+    if (family == "clang")
+        return simulatedFromArgs(compiler::Vendor::Clang, family, args);
+    if (family == "ref") {
+        if (!args.empty())
+            support::fatal(
+                "implementation spec 'ref' takes no arguments");
+        return std::make_shared<RefInterpImpl>();
     }
     // Legacy CompilerConfig::name() forms ("gcc-O2",
     // "clang-O1+asan") keep working for scripts and saved repros.
-    if (parts.size() == 1 &&
-        text.find('-') != std::string::npos) {
-        return simulatedImplementation(
-            compiler::configFromName(text));
-    }
-    std::string known;
-    for (const std::string &name : families())
-        known += (known.empty() ? "" : ", ") + name;
+    if (parts.size() == 1 && text.find('-') != std::string::npos)
+        return simulatedImplementation(compiler::configFromName(text));
     support::fatal("unknown implementation family '" + family +
-                   "' in spec '" + spec + "' (known: " + known +
-                   ")");
+                   "' in spec '" + spec + "' (known: clang, gcc, ref)");
 }
 
 ImplementationSet
-ImplementationRegistry::parse(const std::string &specs) const
+parseImplementations(const std::string &specs)
 {
     ImplementationSet set;
     for (const std::string &raw : splitOn(specs, ',')) {
@@ -426,9 +364,9 @@ ImplementationRegistry::parse(const std::string &specs) const
         } else if (spec == "all") {
             ImplementationSet paper = paper10Implementations();
             set.insert(set.end(), paper.begin(), paper.end());
-            set.push_back(make("ref"));
+            set.push_back(makeImplementation("ref"));
         } else {
-            set.push_back(make(spec));
+            set.push_back(makeImplementation(spec));
         }
     }
     if (set.empty())

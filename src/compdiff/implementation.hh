@@ -23,7 +23,7 @@
  *     interpreter with no lowering, no bytecode, and no
  *     Traits-derived codegen choices (src/refinterp/).
  *
- * ImplementationRegistry builds ImplementationSets from spec
+ * parseImplementations() builds ImplementationSets from spec
  * strings:
  *
  *   spec      := family [ ":" arg ]*   | legacy-name
@@ -36,8 +36,8 @@
  *   "paper10"           the paper's 10-implementation set
  *   "all"               paper10 plus the reference interpreter
  *
- * Adding a backend is one registerFamily() call — no enum widening,
- * no DiffEngine changes.
+ * Adding a backend is one more family in makeImplementation() — no
+ * enum widening, no DiffEngine changes.
  */
 
 #include <cstdint>
@@ -187,47 +187,19 @@ using ImplementationSet =
     std::vector<std::shared_ptr<const Implementation>>;
 
 /**
- * Process-wide factory mapping spec strings to implementations (see
- * the file comment for the grammar).
+ * Build one implementation from a single spec ("gcc:-O2", "ref",
+ * legacy "clang-O1+asan"; see the file comment for the grammar).
+ * Fatal on unknown specs.
  */
-class ImplementationRegistry
-{
-  public:
-    static ImplementationRegistry &global();
+std::shared_ptr<const Implementation>
+makeImplementation(const std::string &spec);
 
-    /**
-     * A family factory: receives the ":"-separated args after the
-     * family name ("gcc:-O2" → {"-O2"}) and returns the
-     * implementation, or calls support::fatal on a bad spec.
-     */
-    using Factory =
-        std::function<std::shared_ptr<const Implementation>(
-            const std::vector<std::string> &args)>;
-
-    /** Register (or replace) a family. */
-    void registerFamily(const std::string &family, Factory factory);
-
-    /** Registered family names, sorted (diagnostics/--help). */
-    std::vector<std::string> families() const;
-
-    /**
-     * Build one implementation from a single spec ("gcc:-O2",
-     * "ref", legacy "clang-O1+asan"). Fatal on unknown specs.
-     */
-    std::shared_ptr<const Implementation>
-    make(const std::string &spec) const;
-
-    /**
-     * Build an ordered set from a comma-separated spec list,
-     * expanding the "paper10" and "all" aliases in place.
-     */
-    ImplementationSet parse(const std::string &specs) const;
-
-  private:
-    ImplementationRegistry();
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
-};
+/**
+ * Build an ordered set from a comma-separated spec list, expanding
+ * the "paper10" and "all" aliases in place. Fatal on an empty or
+ * unknown spec.
+ */
+ImplementationSet parseImplementations(const std::string &specs);
 
 /** The simulated implementation for one CompilerConfig. */
 std::shared_ptr<const Implementation>

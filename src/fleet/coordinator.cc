@@ -8,18 +8,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <map>
 #include <set>
 #include <thread>
 
-#include "monitor/monitor.hh"
 #include "obs/events.hh"
 #include "session/checkpoint.hh"
 #include "session/heartbeat.hh"
 #include "session/lease.hh"
 #include "session/serial.hh"
-#include "support/hash.hh"
-#include "vm/coverage.hh"
 
 namespace compdiff::fleet
 {
@@ -114,64 +110,6 @@ pid_t spawnWorker(const std::vector<std::string> &command,
     return pid;
 }
 
-/**
- * Rewrite `<dir>/sync.journal` from every shard's last checkpoint:
- * record 0 is the merged VirginMap snapshot, records 1.. the
- * hash-deduplicated union of the corpora (hash order, so the file is
- * a pure function of the checkpoints it was built from).
- */
-void writeSyncJournal(const std::string &dir, std::size_t shards)
-{
-    vm::VirginMap merged;
-    std::map<std::uint64_t, support::Bytes> inputs;
-    bool anyMap = false;
-    for (std::size_t shard = 0; shard < shards; shard++)
-    {
-        const std::string path =
-            dir + "/shard-" + std::to_string(shard) + ".journal";
-        try
-        {
-            const auto payload = session::readLastRecord(path);
-            if (!payload)
-                continue;
-            const auto state =
-                session::decodeFuzzerState(*payload);
-            vm::VirginMap shardMap;
-            if (shardMap.restoreBytes(state.virginMap))
-            {
-                merged.merge(shardMap);
-                anyMap = true;
-            }
-            for (const auto &seed : state.corpus)
-                inputs.emplace(
-                    support::murmurHash64(seed.data), seed.data);
-        }
-        catch (const session::SessionError &)
-        {
-            // A torn or mid-compaction journal just skips a round.
-        }
-    }
-    if (!anyMap && inputs.empty())
-        return;
-
-    std::vector<support::Bytes> records;
-    records.reserve(inputs.size() + 1);
-    records.push_back(merged.snapshotBytes());
-    for (const auto &[hash, data] : inputs)
-    {
-        (void)hash;
-        records.push_back(data);
-    }
-    try
-    {
-        session::writeJournal(dir + "/sync.journal", records);
-    }
-    catch (const session::SessionError &)
-    {
-        // Sync is best-effort telemetry-grade traffic; drop a round.
-    }
-}
-
 } // namespace
 
 std::vector<std::vector<std::size_t>>
@@ -236,8 +174,6 @@ FleetResult runFleet(const minic::Program &program,
     std::size_t nextWorker = 0;
     std::uint64_t generation = 0;
     const auto start = Clock::now();
-    auto lastSync = start;
-    auto lastStatus = start;
 
     {
         obs::CampaignEvent event("fleet_open", 0);
@@ -468,30 +404,6 @@ FleetResult runFleet(const minic::Program &program,
                 }
             }
 
-            if (options.syncSecs > 0 &&
-                secsSince(lastSync) >= options.syncSecs)
-            {
-                lastSync = Clock::now();
-                writeSyncJournal(config.dir, shardCount);
-                obs::CampaignEvent event("fleet_sync", 0);
-                event.num("shards", shardCount);
-                fleetEvent(config.dir, std::move(event));
-            }
-
-            if (options.statusSecs > 0 &&
-                secsSince(lastStatus) >= options.statusSecs)
-            {
-                lastStatus = Clock::now();
-                monitor::MonitorOptions view;
-                view.health.deadAfterSecs = options.deadAfterSecs;
-                const auto sessions =
-                    monitor::scanTree(config.dir, view);
-                std::fputs(
-                    monitor::renderTable(sessions, view).c_str(),
-                    stdout);
-                std::fflush(stdout);
-            }
-
             std::this_thread::sleep_for(std::chrono::duration<double>(
                 std::max(options.pollSecs, 0.01)));
         }
@@ -521,7 +433,6 @@ FleetResult runFleet(const minic::Program &program,
     finalize.resume = true;
     finalize.haltAfterExecs = 0;
     finalize.stopFlag = nullptr;
-    finalize.syncPath.clear();
     session::CampaignSession session(program, seeds, finalize);
     session.run();
     out.completed = session.completed();

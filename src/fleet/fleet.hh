@@ -18,9 +18,6 @@
  *       aged out), breaks dead holders' shard leases, and respawns —
  *       a revived worker restores its shards from their checkpoint
  *       journals and continues bit-exactly
- *     - optionally rewrites `sync.journal` (merged VirginMap +
- *       deduped corpus) on a cadence for cross-worker import, and
- *       streams an aggregated live view via compdiff_monitorlib
  *     - enforces the campaign exec budget (shards complete when
  *       their journals reach their budget) and a wall-clock deadline
  *       (SIGTERM → workers checkpoint and exit; rerun to continue)
@@ -44,10 +41,10 @@
  * discipline, so kill -9 any worker at any time: the finished
  * campaign's fuzzer_stats, divergence journals, and bug bundles are
  * byte-identical to an uninterrupted run (tests/test_fleet.cc, and
- * the CI fleet-smoke job). The one opt-out is corpus sync
- * (`FleetOptions::syncSecs` > 0): import timing is wall-clock, so a
- * synced fleet trades the bit-identity guarantee for cross-worker
- * coverage sharing — off by default.
+ * the CI fleet-smoke job). Shards never exchange inputs or coverage,
+ * so every fleet campaign is the single-process campaign by
+ * construction. The live view is `compdiff_monitor --watch` on the
+ * session directory.
  */
 
 #include <cstdint>
@@ -126,13 +123,6 @@ struct FleetOptions
      *  returned result has completed=false and the session resumes
      *  with a later run. */
     double deadlineSecs = 0;
-    /** Live aggregated view (compdiff_monitorlib table) cadence in
-     *  seconds (0 = off). */
-    double statusSecs = 0;
-    /** Cross-worker corpus/VirginMap sync cadence in seconds
-     *  (0 = off, the default — sync is wall-clock driven and
-     *  forfeits bit-identity; see the file comment). */
-    double syncSecs = 0;
     /** A worker whose incomplete shards' heartbeats are all older
      *  than this is presumed hung and SIGKILLed (then revived). */
     double deadAfterSecs = 30.0;

@@ -275,37 +275,6 @@ Fuzzer::flushDiffBatch()
     pendingDiffs_.clear();
 }
 
-std::size_t
-Fuzzer::importSeeds(const std::vector<Bytes> &inputs)
-{
-    std::size_t imported = 0;
-    for (const auto &input : inputs) {
-        if (stats_.execs >= options_.maxExecs)
-            break;
-        Bytes capped = input;
-        if (capped.size() > options_.maxInputSize)
-            capped.resize(options_.maxInputSize);
-        // Depth 0: an import is a fresh starting point, like an
-        // initial seed — its mutation lineage starts here.
-        executeOne(std::move(capped), 0);
-        imported++;
-    }
-    // Imports happen at safe points (fleet sync inside the iteration
-    // hook): complete their queued oracle runs before returning so
-    // the caller — which may checkpoint next — sees fully triaged
-    // state.
-    flushDiffBatch();
-    return imported;
-}
-
-void
-Fuzzer::mergeVirginBytes(const Bytes &bytes)
-{
-    vm::VirginMap foreign;
-    if (foreign.restoreBytes(bytes))
-        virgin_.merge(foreign);
-}
-
 FuzzStats
 Fuzzer::run()
 {

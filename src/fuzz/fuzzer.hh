@@ -234,9 +234,10 @@ class Fuzzer
   public:
     /**
      * Called at every safe point of run() (top of the outer fuzz
-     * loop). Return false to halt the campaign there — the hook is
-     * how session::CampaignSession checkpoints on a cadence and how
-     * an interrupt (or a --halt-after test point) stops a campaign
+     * loop). The hook only reads the fuzzer; return false to halt
+     * the campaign there — the hook is how
+     * session::CampaignSession checkpoints on a cadence and how an
+     * interrupt (or a --halt-after test point) stops a campaign
      * without losing journaled state.
      */
     using IterationHook = std::function<bool(const Fuzzer &)>;
@@ -302,37 +303,12 @@ class Fuzzer
         hook_ = std::move(hook);
     }
 
-    // --- cross-worker sync (fleet mode, session::SessionConfig) ---
-
-    /**
-     * Execute foreign corpus inputs at a safe point, exactly as if
-     * the mutator had generated them (full crash/coverage/diff
-     * triage, budget accounting, dedup). Inputs beyond the remaining
-     * maxExecs budget are dropped. Returns how many were executed.
-     * Calling this from anywhere but a safe point (the iteration
-     * hook, or before run()) voids the determinism contract.
-     */
-    std::size_t importSeeds(const std::vector<support::Bytes> &inputs);
-
-    /**
-     * Merge a VirginMap snapshot (snapshotBytes) from another shard
-     * into this campaign's map, so already-explored edges stop
-     * counting as novel here. Ignores size-mismatched bytes.
-     */
-    void mergeVirginBytes(const support::Bytes &bytes);
-
     /** Did the last run() stop early because the hook said so? */
     bool haltedByHook() const { return haltedByHook_; }
 
     // --- shard-merge accessors (fuzz::foldShards) ---
     /** Accumulated campaign coverage (merged across shards). */
     const vm::VirginMap &virginMap() const { return virgin_; }
-    /** Divergence signature -> index into diffs(). */
-    const std::map<std::uint64_t, std::size_t> &
-    diffSignatures() const
-    {
-        return diffSignatures_;
-    }
     /** Crash signature -> index into crashes(). */
     const std::map<std::string, std::size_t> &
     crashSignatures() const

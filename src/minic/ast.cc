@@ -375,13 +375,4 @@ Program::findFunction(const std::string &name)
     return nullptr;
 }
 
-const GlobalDecl *
-Program::findGlobal(const std::string &name) const
-{
-    for (const auto &g : globals)
-        if (g->name == name)
-            return g.get();
-    return nullptr;
-}
-
 } // namespace compdiff::minic

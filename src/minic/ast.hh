@@ -570,9 +570,6 @@ class Program
     /** Find a function by name; nullptr if absent. */
     const FunctionDecl *findFunction(const std::string &name) const;
     FunctionDecl *findFunction(const std::string &name);
-
-    /** Find a global by name; nullptr if absent. */
-    const GlobalDecl *findGlobal(const std::string &name) const;
 };
 
 } // namespace compdiff::minic

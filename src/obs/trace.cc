@@ -87,13 +87,6 @@ TraceRecorder::setCapacity(std::size_t capacity)
     clear();
 }
 
-std::size_t
-TraceRecorder::capacity() const
-{
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    return impl_->capacity;
-}
-
 std::uint64_t
 TraceRecorder::dropped() const
 {

@@ -60,7 +60,6 @@ class TraceRecorder
      * events keeps the recorder near 4 MB worst-case.
      */
     void setCapacity(std::size_t capacity);
-    std::size_t capacity() const;
 
     /** Completed events, oldest first. */
     std::vector<TraceEvent> events() const;

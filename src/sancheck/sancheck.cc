@@ -137,8 +137,7 @@ const char *const kDefaultImplSpec =
 core::ImplementationSet
 defaultImplementations()
 {
-    return core::ImplementationRegistry::global().parse(
-        kDefaultImplSpec);
+    return core::parseImplementations(kDefaultImplSpec);
 }
 
 void

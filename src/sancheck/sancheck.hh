@@ -112,7 +112,7 @@ bool classifyOne(const refinterp::CertifiedRun &certified,
  */
 extern const char *const kDefaultImplSpec;
 
-/** ImplementationRegistry::parse(kDefaultImplSpec). */
+/** core::parseImplementations(kDefaultImplSpec). */
 core::ImplementationSet defaultImplementations();
 
 /**

@@ -33,24 +33,62 @@ isTerminator(const Stmt &stmt)
            stmt.kind() == StmtKind::Continue;
 }
 
-bool
-containsVarDecl(const Stmt &stmt)
+/**
+ * Append what an unreachable statement leaves behind to `out`: its
+ * declarations, in order, inside the blocks (and `for` scopes) that
+ * held them. Frame layout is a configuration trait (LayoutOrder sorts
+ * locals by size or reverse declaration), so removing even an
+ * unreachable VarDecl could shift live slots and change what an
+ * out-of-bounds access observes. Everything else goes; an `if` or
+ * `while` body splices into the enclosing list, which is the scope
+ * its unbraced declarations live in.
+ */
+void
+keepDeclarations(StmtPtr stmt, std::vector<StmtPtr> &out)
 {
-    bool found = false;
-    walkNodes(stmt, [&](const Stmt &node) {
-        found = found || node.kind() == StmtKind::VarDecl;
-    });
-    return found;
+    if (!stmt)
+        return;
+    switch (stmt->kind()) {
+    case StmtKind::VarDecl:
+        out.push_back(std::move(stmt));
+        break;
+    case StmtKind::Block: {
+        auto &body = static_cast<BlockStmt &>(*stmt).body;
+        std::vector<StmtPtr> kept;
+        for (auto &child : body)
+            keepDeclarations(std::move(child), kept);
+        body = std::move(kept);
+        if (!body.empty())
+            out.push_back(std::move(stmt));
+        break;
+    }
+    case StmtKind::If: {
+        auto &ifs = static_cast<IfStmt &>(*stmt);
+        keepDeclarations(std::move(ifs.thenStmt), out);
+        keepDeclarations(std::move(ifs.elseStmt), out);
+        break;
+    }
+    case StmtKind::While: {
+        auto &loop = static_cast<WhileStmt &>(*stmt);
+        keepDeclarations(std::move(loop.body), out);
+        break;
+    }
+    case StmtKind::For: {
+        auto &loop = static_cast<ForStmt &>(*stmt);
+        auto scope = std::make_unique<BlockStmt>(loop.loc());
+        keepDeclarations(std::move(loop.init), scope->body);
+        keepDeclarations(std::move(loop.body), scope->body);
+        if (!scope->body.empty())
+            out.push_back(std::move(scope));
+        break;
+    }
+    default:
+        break;
+    }
 }
 
-/**
- * Drop statements after the first terminator in every block —
- * except declarations. Frame layout is a configuration trait
- * (LayoutOrder sorts locals by size or reverse declaration), so
- * removing even an unreachable VarDecl could shift live slots and
- * change what an out-of-bounds access observes. Unreachable
- * non-declaration statements are behavior-free and go.
- */
+/** Drop what follows the first terminator in every block, keeping
+ *  only its declarations (keepDeclarations). */
 void stripUnreachableTails(StmtPtr &stmt);
 
 /** The block-body form: a function body's top-level statement list
@@ -67,8 +105,7 @@ stripUnreachableTailsInList(std::vector<StmtPtr> &body)
         for (std::size_t k = 0; k <= i; k++)
             kept.push_back(std::move(body[k]));
         for (std::size_t k = i + 1; k < body.size(); k++)
-            if (containsVarDecl(*body[k]))
-                kept.push_back(std::move(body[k]));
+            keepDeclarations(std::move(body[k]), kept);
         body = std::move(kept);
         return;
     }

@@ -475,9 +475,6 @@ CampaignSession::initShardObservability()
     emitted_.assign(fuzzers_.size(), EmitCursor{});
     lastBeat_.assign(fuzzers_.size(),
                      std::chrono::steady_clock::time_point{});
-    lastSync_.assign(fuzzers_.size(),
-                     std::chrono::steady_clock::time_point{});
-    syncSeen_.assign(fuzzers_.size(), {});
     if (!persistent())
         return;
     for (std::size_t i = 0; i < fuzzers_.size(); i++) {
@@ -582,49 +579,6 @@ CampaignSession::runSecsNow() const
 }
 
 void
-CampaignSession::maybeSyncShard(std::size_t local)
-{
-    if (config_.syncPath.empty() || !persistent())
-        return;
-    const auto now = std::chrono::steady_clock::now();
-    if (lastSync_[local] !=
-            std::chrono::steady_clock::time_point{} &&
-        std::chrono::duration<double>(now - lastSync_[local])
-                .count() < config_.syncSecs) {
-        return;
-    }
-    lastSync_[local] = now;
-    std::vector<Bytes> records;
-    try {
-        records = readRecords(config_.syncPath);
-    } catch (const SessionError &) {
-        return; // not written yet (or mid-replace) — next round
-    }
-    if (records.empty())
-        return;
-    fuzz::Fuzzer &fuzzer = *fuzzers_[local];
-    // Never re-execute an input this shard already owns: its own
-    // corpus circulates back through the coordinator's sync journal.
-    auto &seen = syncSeen_[local];
-    for (const auto &entry : fuzzer.corpus())
-        seen.insert(support::murmurHash64(entry.data));
-    fuzzer.mergeVirginBytes(records[0]);
-    std::vector<Bytes> fresh;
-    for (std::size_t r = 1; r < records.size(); r++) {
-        if (seen.insert(support::murmurHash64(records[r])).second)
-            fresh.push_back(records[r]);
-    }
-    const std::size_t imported = fuzzer.importSeeds(fresh);
-    if (imported) {
-        obs::CampaignEvent event("sync_import",
-                                 fuzzer.stats().execs);
-        event.num("shard", globalShard(local))
-            .num("inputs", imported);
-        appendOpsEvent(std::move(event));
-    }
-}
-
-void
 CampaignSession::installHooks()
 {
     const std::uint64_t halt = config_.haltAfterExecs;
@@ -638,10 +592,6 @@ CampaignSession::installHooks()
         fuzzers_[i]->setIterationHook(
             [this, i, g, halt, every](const fuzz::Fuzzer &fuzzer) {
                 if (persistent()) {
-                    // Cross-worker import first — anything it finds
-                    // lands in the same event batch and checkpoint
-                    // as this safe point's own discoveries.
-                    maybeSyncShard(i);
                     // Events before the checkpoint: a kill between
                     // the two merely re-appends the identical lines
                     // after resume (the journal is rewound to the

@@ -63,7 +63,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -151,18 +150,6 @@ struct SessionConfig
      * coordinator deadline is a graceful, work-preserving shutdown.
      */
     const std::atomic<bool> *stopFlag = nullptr;
-    /**
-     * Cross-worker corpus/coverage sync: when non-empty, each shard
-     * imports from this journal (record 0 = merged VirginMap bytes,
-     * records 1.. = corpus inputs; the coordinator rewrites it with
-     * writeJournal's write-then-rename) at safe points, at most once
-     * per syncSecs. Imported inputs are executed at the safe point
-     * and count against the shard's budget — sync is wall-clock
-     * driven and therefore deliberately NONDETERMINISTIC; leave the
-     * path empty (the default) to keep the bit-identity contract.
-     */
-    std::string syncPath;
-    double syncSecs = 5.0;
 };
 
 /**
@@ -307,9 +294,6 @@ class CampaignSession
     /** Append one event to the session-scope ops log (thread-safe;
      *  shard threads log their checkpoints through this). */
     void appendOpsEvent(obs::CampaignEvent event) const;
-    /** Safe-point cross-worker import from config.syncPath (throttled
-     *  by syncSecs; see the SessionConfig field comment). */
-    void maybeSyncShard(std::size_t local);
     /** Display-only: cumulative wall-clock seconds right now. */
     double runSecsNow() const;
 
@@ -339,11 +323,6 @@ class CampaignSession
     std::vector<EmitCursor> emitted_;
     /** Last heartbeat write time, per shard (throttling only). */
     std::vector<std::chrono::steady_clock::time_point> lastBeat_;
-    /** Last sync-import time, per shard (throttling only). */
-    std::vector<std::chrono::steady_clock::time_point> lastSync_;
-    /** Input hashes already imported (or owned) per shard, so sync
-     *  rounds never re-execute the same foreign input. */
-    std::vector<std::set<std::uint64_t>> syncSeen_;
     /** Serializes ops-log appends across shard threads. */
     mutable std::mutex opsMu_;
     /** This incarnation's start (display-only wall clock). */

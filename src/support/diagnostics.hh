@@ -64,9 +64,6 @@ class DiagnosticEngine
     /** True if at least one error has been recorded. */
     bool hasErrors() const { return errorCount_ > 0; }
 
-    /** Number of recorded errors. */
-    std::size_t errorCount() const { return errorCount_; }
-
     /** All diagnostics, in emission order. */
     const std::vector<Diagnostic> &diagnostics() const { return diags_; }
 

@@ -66,9 +66,6 @@ struct CampaignResult
      *  (stats are the partial fold; triage was skipped — resume the
      *  session to finish). */
     bool halted = false;
-
-    /** Count view of `untriaged` (the pre-reduction API). */
-    std::size_t untriagedDiffs() const { return untriaged.size(); }
 };
 
 /**

@@ -139,7 +139,6 @@ class Vm
         limits_.maxInstructions = budget;
     }
 
-    DispatchMode dispatchMode() const { return dispatch_; }
     void setDispatchMode(DispatchMode mode) { dispatch_ = mode; }
 
     /**

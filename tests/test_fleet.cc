@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "fleet/fleet.hh"
-#include "fuzz/fuzzer.hh"
 #include "minic/parser.hh"
 #include "obs/events.hh"
 #include "session/checkpoint.hh"
@@ -433,32 +432,6 @@ TEST(FleetWorker, DoubleSpawnRefusedViaLease)
     const auto kept = session::readShardLease(dir, 1);
     ASSERT_TRUE(kept.has_value());
     EXPECT_EQ(kept->pid, 1u);
-}
-
-// --- fuzzer import primitives (the sync path) --------------------
-
-TEST(FleetSync, ImportSeedsExecutesAndCaps)
-{
-    const targets::TargetProgram *target =
-        targets::findTarget("pktdump");
-    ASSERT_NE(target, nullptr);
-    auto program = minic::parseAndCheck(target->source);
-    fuzz::FuzzOptions options;
-    options.maxExecs = 1'000;
-    options.maxInputSize = 8;
-    fuzz::Fuzzer fuzzer(*program, target->seeds, options);
-
-    const std::uint64_t before = fuzzer.stats().execs;
-    Bytes oversized(64, 0x41);
-    const std::size_t imported =
-        fuzzer.importSeeds({Bytes{1, 2, 3}, oversized});
-    EXPECT_EQ(imported, 2u);
-    EXPECT_EQ(fuzzer.stats().execs, before + 2);
-
-    // VirginMap merge round-trips through snapshot bytes.
-    fuzzer.mergeVirginBytes(fuzzer.virginMap().snapshotBytes());
-    // Size-mismatched bytes are ignored, not fatal.
-    fuzzer.mergeVirginBytes(Bytes{1, 2, 3});
 }
 
 // --- the multi-process matrix ------------------------------------

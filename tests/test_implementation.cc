@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the pluggable implementation layer: the registry's spec
- * grammar, the simulated-compiler backend's id stability, the
+ * Tests for the pluggable implementation layer: the spec grammar,
+ * the simulated-compiler backend's id stability, the
  * reference-interpreter backend's agreement with the simulated
  * pipeline on UB-free programs, and the cross-backend oracle power
  * that motivates it (a shared-fate miscompile all ten simulated
@@ -15,6 +15,7 @@
 #include "compdiff/implementation.hh"
 #include "compiler/config.hh"
 #include "minic/parser.hh"
+#include "support/logging.hh"
 
 namespace
 {
@@ -22,7 +23,8 @@ namespace
 using namespace compdiff;
 using core::DiffEngine;
 using core::DiffOptions;
-using core::ImplementationRegistry;
+using core::makeImplementation;
+using core::parseImplementations;
 
 std::vector<std::string>
 idsOf(const core::ImplementationSet &impls)
@@ -35,8 +37,7 @@ idsOf(const core::ImplementationSet &impls)
 
 TEST(Registry, Paper10MatchesStandardImplementations)
 {
-    const auto impls =
-        ImplementationRegistry::global().parse("paper10");
+    const auto impls = parseImplementations("paper10");
     const auto configs = compiler::standardImplementations();
     ASSERT_EQ(impls.size(), configs.size());
     ASSERT_EQ(impls.size(), 10u);
@@ -50,39 +51,48 @@ TEST(Registry, Paper10MatchesStandardImplementations)
 
 TEST(Registry, ParsesFamilyArgSpecs)
 {
-    auto &registry = ImplementationRegistry::global();
-    EXPECT_EQ(registry.make("gcc:-O2")->id(), "gcc-O2");
-    EXPECT_EQ(registry.make("clang:-Os:ubsan")->id(),
+    EXPECT_EQ(makeImplementation("gcc:-O2")->id(), "gcc-O2");
+    EXPECT_EQ(makeImplementation("clang:-Os:ubsan")->id(),
               "clang-Os+ubsan");
-    EXPECT_EQ(registry.make("ref")->id(), "ref");
+    EXPECT_EQ(makeImplementation("ref")->id(), "ref");
     // Legacy single-token names (as printed in diff summaries)
     // resolve through compiler::configFromName.
-    EXPECT_EQ(registry.make("gcc-O2")->id(), "gcc-O2");
-    EXPECT_EQ(registry.make("clang-O1+asan")->id(), "clang-O1+asan");
+    EXPECT_EQ(makeImplementation("gcc-O2")->id(), "gcc-O2");
+    EXPECT_EQ(makeImplementation("clang-O1+asan")->id(),
+              "clang-O1+asan");
 }
 
 TEST(Registry, ParsesListsAndAliases)
 {
-    auto &registry = ImplementationRegistry::global();
-    EXPECT_EQ(idsOf(registry.parse("gcc:-O0,ref")),
+    EXPECT_EQ(idsOf(parseImplementations("gcc:-O0,ref")),
               (std::vector<std::string>{"gcc-O0", "ref"}));
-    EXPECT_EQ(registry.parse("all").size(), 11u);
-    EXPECT_EQ(registry.parse("all").back()->id(), "ref");
-    EXPECT_EQ(registry.parse(" gcc:-O1 , clang:-O3 ").size(), 2u);
-    EXPECT_FALSE(registry.make("ref")->describe().empty());
-    EXPECT_FALSE(registry.make("gcc:-O2")->describe().empty());
+    EXPECT_EQ(parseImplementations("all").size(), 11u);
+    EXPECT_EQ(parseImplementations("all").back()->id(), "ref");
+    EXPECT_EQ(parseImplementations(" gcc:-O1 , clang:-O3 ").size(),
+              2u);
+    EXPECT_FALSE(makeImplementation("ref")->describe().empty());
+    EXPECT_FALSE(makeImplementation("gcc:-O2")->describe().empty());
 }
 
 TEST(Registry, KnownFamiliesAreListed)
 {
-    const auto families =
-        ImplementationRegistry::global().families();
-    EXPECT_NE(std::find(families.begin(), families.end(), "gcc"),
-              families.end());
-    EXPECT_NE(std::find(families.begin(), families.end(), "clang"),
-              families.end());
-    EXPECT_NE(std::find(families.begin(), families.end(), "ref"),
-              families.end());
+    // An unknown family is a user error that names every family
+    // there is.
+    try {
+        makeImplementation("bogus:-O2");
+        FAIL() << "an unknown family must not build";
+    } catch (const support::FatalError &error) {
+        EXPECT_NE(std::string(error.what())
+                      .find("unknown implementation family 'bogus'"),
+                  std::string::npos)
+            << error.what();
+        EXPECT_NE(std::string(error.what())
+                      .find("(known: clang, gcc, ref)"),
+                  std::string::npos)
+            << error.what();
+    }
+    EXPECT_THROW(parseImplementations("gcc:-O2,bogus"),
+                 support::FatalError);
 }
 
 // UB-free programs must agree across the full 11-implementation set
@@ -153,7 +163,7 @@ TEST(RefBackend, UbFreeProgramsShowZeroDivergence)
             return 0;
         })",
     };
-    const auto impls = ImplementationRegistry::global().parse("all");
+    const auto impls = parseImplementations("all");
     ASSERT_EQ(impls.size(), 11u);
     for (const char *source : programs) {
         auto program = minic::parseAndCheck(source);
@@ -195,8 +205,7 @@ TEST(RefBackend, CrossBackendDefectDetection)
 
     // Adding the reference interpreter (which has no Traits and
     // ignores the tweak) breaks the shared fate.
-    auto &registry = ImplementationRegistry::global();
-    DiffEngine cross(*program, registry.parse("gcc:-O0,ref"),
+    DiffEngine cross(*program, parseImplementations("gcc:-O0,ref"),
                      seeded);
     auto caught = cross.runInput(input);
     EXPECT_TRUE(caught.divergent);
@@ -207,7 +216,7 @@ TEST(RefBackend, CrossBackendDefectDetection)
     EXPECT_EQ(caught.observations[1].normalizedOutput, "-1");
 
     // Without the seeded defect the same pair agrees.
-    DiffEngine clean(*program, registry.parse("gcc:-O0,ref"));
+    DiffEngine clean(*program, parseImplementations("gcc:-O0,ref"));
     EXPECT_FALSE(clean.runInput(input).divergent);
 }
 
@@ -223,8 +232,7 @@ TEST(CompileCache, TraitsTweakIsPartOfTheKey)
             return 0;
         }
     )");
-    const auto impls =
-        ImplementationRegistry::global().parse("gcc:-O2");
+    const auto impls = parseImplementations("gcc:-O2");
     const support::Bytes input = {9};
 
     // Warm the cache with the stock pipeline first.

@@ -124,8 +124,7 @@ TEST(LocalizeAcross, BridgesCrossBackendRepresentatives)
     // no CompilerConfig; localizeAcross must substitute the
     // same-class simulated member (gcc-O0) and say so.
     auto program = minic::parseAndCheck(kGuardSource);
-    auto impls = core::ImplementationRegistry::global().parse(
-        "ref,gcc:-O0,gcc:-O2");
+    auto impls = core::parseImplementations("ref,gcc:-O0,gcc:-O2");
     core::DiffEngine engine(*program, impls, {});
     auto diff = engine.runInput({}, 0);
     ASSERT_TRUE(diff.divergent);
@@ -151,8 +150,7 @@ TEST(LocalizeAcross, ReportsWhichClassBlocksAlignment)
     // bridge to: no localization, and the note names the blocked
     // class instead of failing silently.
     auto program = minic::parseAndCheck(kGuardSource);
-    auto impls = core::ImplementationRegistry::global().parse(
-        "ref,clang:-O2");
+    auto impls = core::parseImplementations("ref,clang:-O2");
     core::DiffEngine engine(*program, impls, {});
     auto diff = engine.runInput({}, 0);
     ASSERT_TRUE(diff.divergent);
@@ -172,8 +170,7 @@ TEST(LocalizeAcross, ReportsWhichClassBlocksAlignment)
 TEST(LocalizeAcross, AllSimulatedPairNeedsNoBridge)
 {
     auto program = minic::parseAndCheck(kGuardSource);
-    auto impls = core::ImplementationRegistry::global().parse(
-        "gcc:-O0,gcc:-O2");
+    auto impls = core::parseImplementations("gcc:-O0,gcc:-O2");
     core::DiffEngine engine(*program, impls, {});
     auto diff = engine.runInput({}, 0);
     ASSERT_TRUE(diff.divergent);

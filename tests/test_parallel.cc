@@ -234,12 +234,9 @@ TEST(ParallelEngine, PoolStartsAtMostKMinusOneThreads)
         "int main() { print_int(input_byte(0)); return 0; }");
     DiffOptions options;
     options.jobs = 8;
+    const auto impls = core::parseImplementations("gcc:-O0,clang:-O2");
     const auto before = threads();
-    DiffEngine engine(
-        *program,
-        core::ImplementationRegistry::global().parse(
-            "gcc:-O0,clang:-O2"),
-        options);
+    DiffEngine engine(*program, impls, options);
     EXPECT_EQ(threads() - before, 1);
     EXPECT_FALSE(engine.runInput({7}).divergent);
 }

@@ -82,8 +82,7 @@ remPow2Options()
 core::ImplementationSet
 gccVsRef()
 {
-    return core::ImplementationRegistry::global().parse(
-        "gcc:-O2,ref");
+    return core::parseImplementations("gcc:-O2,ref");
 }
 
 /** Every file under `dir`, keyed by its path relative to `dir`. */
@@ -424,7 +423,7 @@ TEST(ReduceCampaign, SurfacesUntriagedWitnesses)
     auto result = targets::runCampaign(target, config,
                                        /*check_sanitizers=*/false);
 
-    ASSERT_GE(result.untriagedDiffs(), 1u);
+    ASSERT_GE(result.untriaged.size(), 1u);
     for (const auto &untriaged : result.untriaged) {
         EXPECT_NE(untriaged.signature, 0u);
         EXPECT_FALSE(untriaged.witness.empty());

@@ -423,8 +423,7 @@ TEST(Sancheck, OracleConfigIdsLeadWithRef)
 TEST(Sancheck, ValidateRejectsUnsanitizedImpls)
 {
     EXPECT_THROW(sancheck::validateImpls(
-                     core::ImplementationRegistry::global().parse(
-                         "clang:-O1,clang:-O2")),
+                     core::parseImplementations("clang:-O1,clang:-O2")),
                  support::FatalError);
 }
 

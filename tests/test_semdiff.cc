@@ -44,10 +44,9 @@ using support::Rng;
  * canonicalizer pass: globals and a helper function (renaming and
  * call-graph ordering), an occasionally-unreachable decoy function
  * (pruning), guarded integer arithmetic (operand sorting), and runs
- * of plain assignments (statement sorting). Everything stays in
- * integer territory: float literals do not round-trip through the
- * printer, and cur_line/time_stamp/bad_rand would make behavior
- * layout- or environment-sensitive.
+ * of plain assignments (statement sorting). cur_line/time_stamp/
+ * bad_rand stay out: they would make behavior layout- or
+ * environment-sensitive.
  */
 class CanonProgramGenerator
 {
@@ -170,15 +169,15 @@ class CanonProgramGenerator
     int globals_ = 1;
 };
 
-class CanonicalizerProperties : public testing::TestWithParam<int>
-{};
-
-TEST_P(CanonicalizerProperties, IdempotentAndObservationSound)
+/**
+ * canon(canon(p)) == canon(p), and the canonical program produces
+ * bit-identical DiffEngine observations — same exit classes, same
+ * output hashes — for every implementation in `impls`.
+ */
+void
+expectIdempotentAndSound(const std::string &source,
+                         const core::ImplementationSet &impls)
 {
-    CanonProgramGenerator generator(
-        0x5EED0000ull + static_cast<std::uint64_t>(GetParam()));
-    const std::string source = generator.generate();
-
     std::unique_ptr<minic::Program> program;
     ASSERT_NO_THROW(program = minic::parseAndCheck(source))
         << source;
@@ -187,18 +186,16 @@ TEST_P(CanonicalizerProperties, IdempotentAndObservationSound)
         semdiff::canonicalizeSource(source);
     ASSERT_FALSE(canon.source.empty());
 
-    // canon(canon(p)) == canon(p): every pass is at its fixpoint.
     const semdiff::CanonicalForm again =
         semdiff::canonicalizeSource(canon.source);
     EXPECT_EQ(again.source, canon.source) << source;
     EXPECT_EQ(again.fingerprint, canon.fingerprint);
 
-    // Soundness: the canonicalized program produces bit-identical
-    // DiffEngine observations — same exit classes, same output
-    // hashes, for every implementation in the oracle.
-    auto canonical = minic::parseAndCheck(canon.source);
-    core::DiffEngine original_engine(*program);
-    core::DiffEngine canonical_engine(*canonical);
+    std::unique_ptr<minic::Program> canonical;
+    ASSERT_NO_THROW(canonical = minic::parseAndCheck(canon.source))
+        << canon.source;
+    core::DiffEngine original_engine(*program, impls);
+    core::DiffEngine canonical_engine(*canonical, impls);
     for (const support::Bytes &input :
          {support::Bytes{}, support::Bytes{7, 200, 3}}) {
         const auto a = original_engine.runInput(input);
@@ -220,6 +217,17 @@ TEST_P(CanonicalizerProperties, IdempotentAndObservationSound)
                 << canon.source;
         }
     }
+}
+
+class CanonicalizerProperties : public testing::TestWithParam<int>
+{};
+
+TEST_P(CanonicalizerProperties, IdempotentAndObservationSound)
+{
+    CanonProgramGenerator generator(
+        0x5EED0000ull + static_cast<std::uint64_t>(GetParam()));
+    expectIdempotentAndSound(generator.generate(),
+                             core::paper10Implementations());
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSweep, CanonicalizerProperties,
@@ -312,6 +320,100 @@ TEST(Canonicalizer, DeadTailStrippedButDeclarationsKept)
     EXPECT_NE(
         semdiff::canonicalizeSource(with_dead_decl).fingerprint,
         semdiff::canonicalizeSource(without_tail).fingerprint);
+
+    // A dead block keeps its own declaration and nothing else: the
+    // assignment, the return and the print inside it go.
+    const std::string dead_block = R"(
+        int main() {
+            print_int(1);
+            return 0;
+            { int x; x = 1; return x; print_int(2); }
+        }
+    )";
+    const std::string declaration_only = R"(
+        int main() {
+            print_int(1);
+            return 0;
+            { int x; }
+        }
+    )";
+    const auto full = semdiff::canonicalizeSource(dead_block);
+    const auto bare = semdiff::canonicalizeSource(declaration_only);
+    EXPECT_EQ(full.source, bare.source);
+    EXPECT_EQ(full.fingerprint, bare.fingerprint);
+}
+
+/** Dead `if`/`while`/`for` statements that declare locals keep those
+ *  declarations, in their scopes, and nothing else: observations
+ *  over paper10 and the reference interpreter must not move. */
+TEST(Canonicalizer, DeadDeclarationBearingStatementsAreSound)
+{
+    const struct
+    {
+        const char *dead;
+        const char *declarations;
+    } cases[] = {
+        {"if (v0 > 2) { int a = v0 + 1; print_int(a); } "
+         "else { long b; b = 4; print_long(b); }",
+         "{ int a = v0 + 1; } { long b; }"},
+        {"if (v0) int c = 7;", "int c = 7;"},
+        {"while (v0 < 9) { char d[12]; d[0] = 1; v0 += 1; }",
+         "{ char d[12]; }"},
+        {"for (int i = 0; i < 3; i += 1) { int e[4]; e[i] = i; "
+         "print_int(e[i]); }",
+         "{ int i = 0; { int e[4]; } }"},
+        {"{ int f; f = v0; if (f) { return f; } for (;;) { long g; "
+         "break; } }",
+         "{ int f; { { long g; } } }"},
+    };
+    // An out-of-bounds read after a live local makes the frame
+    // layout observable, so a lost declaration would show.
+    const auto program = [](const std::string &tail) {
+        return "int main() {\n"
+               "int v0 = input_byte(0);\n"
+               "int live[2];\n"
+               "live[0] = v0;\n"
+               "print_int(live[0] + live[3]);\n"
+               "return 0;\n" +
+               tail + "\n}\n";
+    };
+    const core::ImplementationSet impls =
+        core::parseImplementations("all");
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.dead);
+        expectIdempotentAndSound(program(c.dead), impls);
+        EXPECT_EQ(
+            semdiff::canonicalizeSource(program(c.dead)).fingerprint,
+            semdiff::canonicalizeSource(program(c.declarations))
+                .fingerprint);
+    }
+}
+
+/** The printer's float spellings survive canonicalization: they
+ *  reparse to the same values and print back the same way. */
+TEST(Canonicalizer, FloatSpellingsAreIdempotentAndSound)
+{
+    const std::string source = R"(
+        double scale = 1.0e+06;
+        int main() {
+            double x = (double)input_byte(0) / 7.0;
+            double big = 1.0e999;
+            double nan = (0.0 / 0.0);
+            print_f(x * scale + (-2.5)); newline();
+            print_f(big); newline();
+            print_int(nan == nan); newline();
+            print_int(x < big); newline();
+            return 0;
+        }
+    )";
+    const auto canon = semdiff::canonicalizeSource(source);
+    for (const char *spelling :
+         {"1.0e+06", "-2.5", "1.0e999", "(0.0 / 0.0)"}) {
+        EXPECT_NE(canon.source.find(spelling), std::string::npos)
+            << spelling << "\n"
+            << canon.source;
+    }
+    expectIdempotentAndSound(source, core::parseImplementations("all"));
 }
 
 TEST(Canonicalizer, FallsBackToExactTextOnUnparsableSource)
@@ -350,8 +452,8 @@ TEST(Slicer, NamesFirstDivergentInstruction)
     // not; both share the bytecode pipeline, so the slicer must name
     // the instruction where the strength-reduced remainder departs.
     auto program = minic::parseAndCheck(kRemPow2Slice);
-    const auto impls = core::ImplementationRegistry::global().parse(
-        "clang:-O2,clang:-O0");
+    const auto impls =
+        core::parseImplementations("clang:-O2,clang:-O0");
     core::DiffOptions options;
     core::DiffEngine engine(*program, impls, options);
     const auto diff = engine.runInput({9}, 0);
@@ -380,8 +482,7 @@ TEST(Slicer, DegradesGracefullyAcrossBackends)
     // Against the reference interpreter there is no second bytecode
     // stream to align: the slice reports why instead of guessing.
     auto program = minic::parseAndCheck(kRemPow2Slice);
-    const auto impls = core::ImplementationRegistry::global().parse(
-        "clang:-O2,ref");
+    const auto impls = core::parseImplementations("clang:-O2,ref");
     core::DiffOptions options;
     core::DiffEngine engine(*program, impls, options);
     const auto diff = engine.runInput({9}, 0);
@@ -444,8 +545,8 @@ TEST(SemDedup, PipelineMergesEqualWitnessesIntoOneBundle)
     // the degenerate case of semantic equality) must file as ONE
     // bundle carrying both variants.
     auto program = minic::parseAndCheck(kRemPow2Slice);
-    const auto impls = core::ImplementationRegistry::global().parse(
-        "clang:-O2,clang:-O0");
+    const auto impls =
+        core::parseImplementations("clang:-O2,clang:-O0");
     core::DiffOptions diff_options;
     core::DiffEngine engine(*program, impls, diff_options);
     const auto diff = engine.runInput({9}, 0);

@@ -123,7 +123,7 @@ TEST(Targets, CampaignsFindPlantedBugs)
                                            /*check_sanitizers=*/false);
         planted += target->bugs.size();
         found += result.found.size();
-        EXPECT_EQ(result.untriagedDiffs(), 0u)
+        EXPECT_EQ(result.untriaged.size(), 0u)
             << name << " produced unplanted divergences";
         for (const auto &finding : result.found) {
             ASSERT_NE(finding.bug, nullptr);
