@@ -92,6 +92,18 @@ smoke() {
     "$cli" --quiet --impls=gcc:-O0,ref > "$tmp/ref.out"
     grep -q 'consistent across 2 implementations' "$tmp/ref.out"
 
+    echo "== hang smoke: a partial timeout through RQ6 to the output cap"
+    # The five clang builds loop on print_char('.'), so the oracle
+    # reruns them at 8M, 32M and 128M instructions and their output
+    # reaches the 1 MiB cap. The VM skips the proven cycles; run in
+    # full, this takes seconds (minutes in a sanitizer build). The
+    # expected report, with its instruction counts, was recorded
+    # running every instruction.
+    timeout 60 "$cli" "$repo_root/tests/data/hang_partial.mc" \
+        --metrics-out="$tmp/hang_metrics.jsonl" > "$tmp/hang.out"
+    cmp "$tmp/hang.out" "$repo_root/tests/data/hang_partial.expected"
+    grep -q '"vm.skipped_instructions"' "$tmp/hang_metrics.jsonl"
+
     echo "== reduce smoke: campaigns + minimized bug bundles"
     # Deterministic campaign targets; --reduce minimizes every unique
     # divergence under a hard candidate budget (keeps CI wall time

@@ -10,6 +10,33 @@
 namespace compdiff::compiler
 {
 
+namespace
+{
+
+bytecode::Module
+lowerProgram(const minic::Program &program, const CompilerConfig &config,
+             const Traits &traits)
+{
+    // Clone the analyzed AST so UB-exploiting transforms never leak
+    // between configurations, then run this configuration's pipeline.
+    std::vector<std::unique_ptr<minic::FunctionDecl>> clones;
+    clones.reserve(program.functions.size());
+    for (const auto &func : program.functions) {
+        auto clone = func->clone();
+        normalizeBodies(*clone);
+        for (const auto &pass : standardPasses()) {
+            if (pass->enabledFor(traits))
+                pass->run(*clone, traits);
+        }
+        clones.push_back(std::move(clone));
+    }
+
+    Lowering lowering(program, config, traits);
+    return lowering.lower(clones);
+}
+
+} // namespace
+
 bytecode::Module
 Compiler::compile(const CompilerConfig &config) const
 {
@@ -22,27 +49,18 @@ Compiler::compileWithTraits(const CompilerConfig &config,
 {
     obs::Span span("compile." + config.name());
     obs::counter("compiler.compiles").add();
-    // Clone the analyzed AST so UB-exploiting transforms never leak
-    // between configurations, then run this configuration's pipeline.
-    std::vector<std::unique_ptr<minic::FunctionDecl>> clones;
-    clones.reserve(program_.functions.size());
-    for (const auto &func : program_.functions) {
-        auto clone = func->clone();
-        normalizeBodies(*clone);
-        for (const auto &pass : standardPasses()) {
-            if (pass->enabledFor(traits))
-                pass->run(*clone, traits);
-        }
-        clones.push_back(std::move(clone));
-    }
-
-    Lowering lowering(program_, config, traits);
-    bytecode::Module module = lowering.lower(clones);
+    bytecode::Module module = lowerProgram(program_, config, traits);
     // Lower once more into threaded-code form so every Vm bound to
     // this module (k-way oracle, batch runs, cache hits) shares one
     // decoded image instead of re-decoding per executor.
     module.decoded = bytecode::decodeModule(module);
     return module;
+}
+
+std::vector<std::uint8_t>
+Compiler::rodata(const CompilerConfig &config) const
+{
+    return lowerProgram(program_, config, traitsFor(config)).rodata;
 }
 
 bytecode::Module

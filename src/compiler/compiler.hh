@@ -10,8 +10,10 @@
  * configuration's optimization passes, and lowers the result.
  */
 
+#include <cstdint>
 #include <memory>
 #include <string_view>
+#include <vector>
 
 #include "bytecode/module.hh"
 #include "compiler/config.hh"
@@ -44,6 +46,13 @@ class Compiler
      */
     bytecode::Module compileWithTraits(const CompilerConfig &config,
                                        const Traits &traits) const;
+
+    /**
+     * The rodata image compile(config) would produce, without the
+     * decode and without counting a compile (the canonicalizer checks
+     * that its rewrite keeps the string literals' bytes in place).
+     */
+    std::vector<std::uint8_t> rodata(const CompilerConfig &config) const;
 
     const minic::Program &program() const { return program_; }
 

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "compiler/compiler.hh"
 #include "minic/parser.hh"
 #include "minic/printer.hh"
 #include "minic/walk.hh"
@@ -453,6 +454,14 @@ sortIndependentStatements(Program &program)
     }
 }
 
+/**
+ * The implementation whose rodata image a canonical form must keep:
+ * unoptimized, so no pass has dropped a literal.
+ */
+const compiler::CompilerConfig kRodataConfig{compiler::Vendor::Clang,
+                                             compiler::OptLevel::O0,
+                                             compiler::Sanitizer::None};
+
 } // namespace
 
 std::uint64_t
@@ -479,9 +488,16 @@ canonicalizeSource(const std::string &source)
         return CanonicalForm{source, support::murmurHash64(source)};
     };
 
+    // Lowering interns every string literal, dead code included, into
+    // one rodata image in function and code order, and a live
+    // out-of-bounds read sees those bytes. Stripping, reordering or
+    // sorting statements that hold literals can change that image, so
+    // a canonical form must keep it.
     std::unique_ptr<minic::Program> program;
+    std::vector<std::uint8_t> rodata;
     try {
         program = minic::parseAndCheck(source);
+        rodata = compiler::Compiler(*program).rodata(kRodataConfig);
     } catch (const support::CompileError &) {
         return fallback();
     }
@@ -500,7 +516,9 @@ canonicalizeSource(const std::string &source)
         // The canonical text must itself survive the frontend —
         // anything else is a canonicalizer bug, and exact-text
         // identity is the safe degradation.
-        minic::parseAndCheck(canonical);
+        const auto reparsed = minic::parseAndCheck(canonical);
+        if (compiler::Compiler(*reparsed).rodata(kRodataConfig) != rodata)
+            return fallback();
     } catch (const support::CompileError &) {
         return fallback();
     }

@@ -83,8 +83,10 @@ struct CanonicalForm
 /**
  * Canonicalize a source buffer. The input must parse and type-check;
  * if it does not (or the canonicalized text fails to reparse, which
- * would indicate a pass bug), the original text is returned verbatim
- * with its own hash — canonicalization degrades to exact-text
+ * would indicate a pass bug, or compiles to another rodata image under
+ * clang-O0, because a dead or reordered string literal moved the bytes
+ * that out-of-bounds reads see), the original text is returned
+ * verbatim with its own hash — canonicalization degrades to exact-text
  * identity, never to an error.
  */
 CanonicalForm canonicalizeSource(const std::string &source);

@@ -152,6 +152,7 @@ Heap::Heap(AddressSpace &space, const Traits &traits, bool asan)
 std::uint64_t
 Heap::allocate(std::uint64_t size)
 {
+    calls_++;
     if (size == 0)
         size = 1;
     const std::uint64_t rounded = (size + 15) / 16 * 16;
@@ -191,6 +192,7 @@ Heap::allocate(std::uint64_t size)
 FreeOutcome
 Heap::release(std::uint64_t addr)
 {
+    calls_++;
     if (addr == 0)
         return FreeOutcome::NullNoop;
 
@@ -260,6 +262,7 @@ void
 Heap::reset()
 {
     brk_ = 0;
+    calls_ = 0;
     chunks_.clear();
     freelist_.clear();
     quarantine_.clear();

@@ -321,6 +321,9 @@ class Heap
     /** Size of the chunk starting at addr (0 when unknown). */
     std::uint64_t chunkSize(std::uint64_t addr) const;
 
+    /** allocate() plus release() calls since the last reset(). */
+    std::uint64_t calls() const { return calls_; }
+
     /**
      * Forget all allocator bookkeeping (chunks, freelist, quarantine,
      * brk). Pairs with AddressSpace::resetForRun() to recycle one
@@ -339,6 +342,7 @@ class Heap
     const compiler::Traits &traits_;
     bool asan_;
     std::uint64_t brk_ = 0;
+    std::uint64_t calls_ = 0;
     std::map<std::uint64_t, Chunk> chunks_;
     std::deque<std::uint64_t> freelist_;
     std::deque<std::uint64_t> quarantine_;

@@ -416,12 +416,55 @@ TEST(Canonicalizer, FloatSpellingsAreIdempotentAndSound)
     expectIdempotentAndSound(source, core::parseImplementations("all"));
 }
 
+/** Lowering interns every string literal, dead ones included, into
+ *  one rodata image in function and code order, and a live
+ *  out-of-bounds read sees its bytes. A canonical form that drops or
+ *  moves a literal would change what such a program prints, so it
+ *  degrades to the exact text instead. */
+TEST(Canonicalizer, StringLiteralsThatMoveKeepTheExactText)
+{
+    const char *cases[] = {
+        // A dead literal: the read past "ab" finds "xyz".
+        "int main() {\n"
+        "    char *s = \"ab\";\n"
+        "    print_int(s[4]);\n"
+        "    newline();\n"
+        "    return 0;\n"
+        "    print_str(\"xyz\");\n"
+        "}\n",
+        // Callees go first in canonical order, and their literals with
+        // them.
+        "int main() {\n"
+        "    char *s = \"ab\";\n"
+        "    print_int(s[4]);\n"
+        "    return helper();\n"
+        "}\n"
+        "int helper() {\n"
+        "    print_str(\"cd\");\n"
+        "    return 0;\n"
+        "}\n",
+    };
+    for (const char *source : cases) {
+        SCOPED_TRACE(source);
+        expectIdempotentAndSound(source, core::parseImplementations("all"));
+        EXPECT_EQ(semdiff::canonicalizeSource(source).source, source);
+    }
+}
+
 TEST(Canonicalizer, FallsBackToExactTextOnUnparsableSource)
 {
-    const std::string garbage = "int main( { this is not MiniC";
-    const auto form = semdiff::canonicalizeSource(garbage);
-    EXPECT_EQ(form.source, garbage);
-    EXPECT_EQ(form.fingerprint, support::murmurHash64(garbage));
+    // Syntax errors, sema errors and an empty buffer all degrade to
+    // exact-text identity, from both entry points' shared path.
+    for (const std::string bad :
+         {"int main( { this is not MiniC", "", "int main() { return x; }",
+          "int main() { int a; a = \"str\" * 2; return a; }",
+          "int f() { return 0; } int f() { return 1; }"}) {
+        SCOPED_TRACE(bad);
+        semdiff::CanonicalForm form;
+        EXPECT_NO_THROW(form = semdiff::canonicalizeSource(bad));
+        EXPECT_EQ(form.source, bad);
+        EXPECT_EQ(form.fingerprint, support::murmurHash64(bad));
+    }
 }
 
 TEST(SemanticKey, StableAndOrderSensitive)
