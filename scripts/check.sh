@@ -175,6 +175,22 @@ smoke() {
     usage_error 'cannot read /missing/in' "$cli" "$tmp/prog.mc" /missing/in
     usage_error 'unexpected argument x' "$cli" "$tmp/prog.mc" /dev/null x
     usage_error 'exclude each other' "$cli" --target=pktdump "$tmp/prog.mc"
+    # Nesting past the parser's bound is a compile error naming its
+    # line, not a stack overflow: 20,000 parenthesized groups, 20,000
+    # blocks and a sum of 20,000 terms.
+    local shape
+    run_of() { head -c "$1" /dev/zero | tr '\0' "$2"; }
+    { printf 'int main() {\nreturn '; run_of 20000 '('; printf 1
+      run_of 20000 ')'; printf ';\n}\n'; } > "$tmp/deep_parens.mc"
+    { printf 'int main() {\n'; run_of 20000 '{'; run_of 20000 '}'
+      printf '\nreturn 0;\n}\n'; } > "$tmp/deep_blocks.mc"
+    { printf 'int main() {\nreturn 1'; run_of 19999 '+' |
+          sed 's/+/ + 1/g'; printf ';\n}\n'; } > "$tmp/deep_sum.mc"
+    for shape in parens blocks sum; do
+        usage_error 'nesting deeper than 256 levels' \
+            "$cli" --impls=gcc:-O0 "$tmp/deep_$shape.mc"
+        grep -q 'error at 2:' "$tmp/usage_error.out"
+    done
     usage_error 'unknown option --bogus' "$packetdump" --bogus
     usage_error 'unknown option --sync-every' "$fleet" --sync-every=30
     usage_error 'unknown option --status-every' "$fleet" --status-every=10

@@ -11,6 +11,25 @@ namespace compdiff::minic
 
 using support::CompileError;
 
+namespace
+{
+
+/** Restores the parser's nesting depth when a construct ends. */
+class DepthScope
+{
+  public:
+    explicit DepthScope(int &depth) : depth_(depth), saved_(depth) {}
+    ~DepthScope() { depth_ = saved_; }
+    DepthScope(const DepthScope &) = delete;
+    DepthScope &operator=(const DepthScope &) = delete;
+
+  private:
+    int &depth_;
+    const int saved_;
+};
+
+} // namespace
+
 Parser::Parser(std::string_view source, support::DiagnosticEngine &diags)
     : diags_(diags)
 {
@@ -61,6 +80,15 @@ Parser::errorHere(const std::string &message)
 {
     diags_.error(peek().loc, message);
     throw CompileError("parse error:\n" + diags_.str());
+}
+
+void
+Parser::descend()
+{
+    if (++depth_ > kMaxNestingDepth) {
+        errorHere("nesting deeper than " +
+                  std::to_string(kMaxNestingDepth) + " levels");
+    }
 }
 
 bool
@@ -260,6 +288,8 @@ StmtPtr
 Parser::parseStatement()
 {
     const auto loc = peek().loc;
+    const DepthScope scope(depth_);
+    descend();
 
     if (check(TokKind::LBrace))
         return parseBlock();
@@ -425,16 +455,19 @@ binaryOpFor(TokKind kind)
 ExprPtr
 Parser::parseAssignment()
 {
+    const DepthScope scope(depth_);
     auto lhs = parseTernary();
 
     const auto loc = peek().loc;
     if (accept(TokKind::Assign)) {
+        descend();
         auto rhs = parseAssignment();
         return std::make_unique<AssignExpr>(loc, std::move(lhs),
                                             std::move(rhs));
     }
     if (auto op = compoundOpFor(peek().kind)) {
         advance();
+        descend();
         auto rhs = parseAssignment();
         return std::make_unique<AssignExpr>(loc, std::move(lhs),
                                             std::move(rhs), op);
@@ -449,6 +482,8 @@ Parser::parseTernary()
     if (!check(TokKind::Question))
         return cond;
     const auto loc = advance().loc;
+    const DepthScope scope(depth_);
+    descend();
     auto then_expr = parseExpr();
     expect(TokKind::Colon, "ternary");
     auto else_expr = parseTernary();
@@ -460,12 +495,16 @@ Parser::parseTernary()
 ExprPtr
 Parser::parseBinary(int min_prec)
 {
+    // Each operator of a chain nests the chain so far one level
+    // deeper (a left-deep tree).
+    const DepthScope scope(depth_);
     auto lhs = parseUnary();
     for (;;) {
         const int prec = precedenceOf(peek().kind);
         if (prec == 0 || prec < min_prec)
             return lhs;
         const Token &op_tok = advance();
+        descend();
         auto rhs = parseBinary(prec + 1);
         lhs = std::make_unique<BinaryExpr>(op_tok.loc,
                                            binaryOpFor(op_tok.kind),
@@ -478,29 +517,36 @@ ExprPtr
 Parser::parseUnary()
 {
     const auto loc = peek().loc;
+    const DepthScope scope(depth_);
     switch (peek().kind) {
       case TokKind::Minus:
         advance();
+        descend();
         return std::make_unique<UnaryExpr>(loc, UnaryOp::Neg,
                                            parseUnary());
       case TokKind::Tilde:
         advance();
+        descend();
         return std::make_unique<UnaryExpr>(loc, UnaryOp::BitNot,
                                            parseUnary());
       case TokKind::Bang:
         advance();
+        descend();
         return std::make_unique<UnaryExpr>(loc, UnaryOp::LogNot,
                                            parseUnary());
       case TokKind::Star:
         advance();
+        descend();
         return std::make_unique<UnaryExpr>(loc, UnaryOp::Deref,
                                            parseUnary());
       case TokKind::Amp:
         advance();
+        descend();
         return std::make_unique<UnaryExpr>(loc, UnaryOp::AddrOf,
                                            parseUnary());
       case TokKind::Plus:
         advance();
+        descend();
         return parseUnary();
       case TokKind::KwSizeof: {
         advance();
@@ -524,6 +570,7 @@ Parser::parseUnary()
                 advance(); // (
                 const Type *target = parseType();
                 expect(TokKind::RParen, "cast");
+                descend();
                 return std::make_unique<CastExpr>(loc, target,
                                                   parseUnary());
               }
@@ -540,20 +587,24 @@ Parser::parseUnary()
 ExprPtr
 Parser::parsePostfix()
 {
+    const DepthScope scope(depth_);
     auto expr = parsePrimary();
     for (;;) {
         const auto loc = peek().loc;
         if (accept(TokKind::LBracket)) {
+            descend();
             auto index = parseExpr();
             expect(TokKind::RBracket, "subscript");
             expr = std::make_unique<IndexExpr>(loc, std::move(expr),
                                                std::move(index));
         } else if (accept(TokKind::Dot)) {
+            descend();
             const Token &field =
                 expect(TokKind::Identifier, "member access");
             expr = std::make_unique<MemberExpr>(loc, std::move(expr),
                                                 field.text, false);
         } else if (accept(TokKind::Arrow)) {
+            descend();
             const Token &field =
                 expect(TokKind::Identifier, "member access");
             expr = std::make_unique<MemberExpr>(loc, std::move(expr),
@@ -568,6 +619,7 @@ ExprPtr
 Parser::parsePrimary()
 {
     const Token &tok = peek();
+    const DepthScope scope(depth_);
     switch (tok.kind) {
       case TokKind::IntLiteral: {
         advance();
@@ -589,6 +641,7 @@ Parser::parsePrimary()
         advance();
         if (check(TokKind::LParen)) {
             advance();
+            descend();
             std::vector<ExprPtr> args;
             if (!check(TokKind::RParen)) {
                 do {
@@ -603,6 +656,7 @@ Parser::parsePrimary()
       }
       case TokKind::LParen: {
         advance();
+        descend();
         auto inner = parseExpr();
         expect(TokKind::RParen, "parenthesized expression");
         return inner;

@@ -17,6 +17,18 @@ namespace compdiff::minic
 {
 
 /**
+ * How deep the parser lets a program nest (clang's default
+ * -fbracket-depth is the same 256). Every statement, parenthesized
+ * group, call, subscript, unary operator or cast, `?:` and assignment
+ * adds a level around what it contains, and so does each operator of
+ * a binary or postfix chain (those build left-deep trees). Past the
+ * bound the parser throws support::CompileError, so every later
+ * recursive walk of the AST (sema, the passes, lowering, the printer,
+ * the reference interpreter) runs within a bounded stack.
+ */
+inline constexpr int kMaxNestingDepth = 256;
+
+/**
  * Parses a MiniC source buffer into a Program.
  *
  * The parser stops at the first syntax error: it records the error in
@@ -46,6 +58,11 @@ class Parser
     const Token &expect(TokKind kind, const char *context);
     [[noreturn]] void errorHere(const std::string &message);
 
+    /** Enter one more level of nesting; a CompileError past
+     *  kMaxNestingDepth. Callers restore depth_ when the construct
+     *  ends (a DepthScope does). */
+    void descend();
+
     /** True if the upcoming tokens start a type. */
     bool atTypeStart() const;
 
@@ -73,6 +90,7 @@ class Parser
     std::unique_ptr<Program> program_;
     std::vector<Token> tokens_;
     std::size_t pos_ = 0;
+    int depth_ = 0;
     support::DiagnosticEngine &diags_;
 };
 

@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <sstream>
 
 namespace compdiff::minic
 {
@@ -12,16 +11,18 @@ namespace compdiff::minic
 namespace
 {
 
-std::string
-pad(int indent)
+// Every printer appends to one output string, so printing is linear
+// in the text it produces.
+
+void
+appendPad(std::string &out, int indent)
 {
-    return std::string(static_cast<std::size_t>(indent) * 4, ' ');
+    out.append(static_cast<std::size_t>(indent) * 4, ' ');
 }
 
-std::string
-escape(const std::string &raw)
+void
+appendEscaped(std::string &out, const std::string &raw)
 {
-    std::string out;
     for (char c : raw) {
         switch (c) {
           case '\n': out += "\\n"; break;
@@ -32,7 +33,22 @@ escape(const std::string &raw)
           default: out += c;
         }
     }
-    return out;
+}
+
+/** `type name`, or `element name[length]` for an array. */
+void
+appendDeclarator(std::string &out, const Type &type,
+                 const std::string &name)
+{
+    const bool array = type.isArray();
+    out += array ? type.element()->str() : type.str();
+    out += ' ';
+    out += name;
+    if (array) {
+        out += '[';
+        out += std::to_string(type.arrayLength());
+        out += ']';
+    }
 }
 
 /**
@@ -45,22 +61,30 @@ escape(const std::string &raw)
  * and NaN is `(0.0 / 0.0)`, which prints the same again after a
  * reparse.
  */
-std::string
-floatLiteral(double value)
+void
+appendFloat(std::string &out, double value)
 {
-    if (std::isnan(value))
-        return "(0.0 / 0.0)";
-    if (std::signbit(value))
-        return "(-" + floatLiteral(-value) + ")";
-    if (std::isinf(value))
-        return "1.0e999";
+    if (std::isnan(value)) {
+        out += "(0.0 / 0.0)";
+        return;
+    }
+    if (std::signbit(value)) {
+        out += "(-";
+        appendFloat(out, -value);
+        out += ')';
+        return;
+    }
+    if (std::isinf(value)) {
+        out += "1.0e999";
+        return;
+    }
     char buf[32];
     const auto end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
     std::string digits(buf, end);
     const std::size_t exp = std::min(digits.find('e'), digits.size());
     if (digits.find('.') == std::string::npos)
         digits.insert(exp, ".0");
-    return digits;
+    out += digits;
 }
 
 /**
@@ -82,95 +106,117 @@ struct LineCursor
     int indent = 0;
 };
 
-std::string printExprAt(const Expr &expr, LineCursor *cursor);
+void appendExpr(std::string &out, const Expr &expr, LineCursor *cursor);
+
+/**
+ * An operand of a tighter operator, or a ?: condition or else branch.
+ * An assignment there prints in parentheses: the parser reads the
+ * assignment operator last, so `(a = b) + c` would reparse as
+ * `a = (b + c)`.
+ */
+void
+appendOperand(std::string &out, const Expr &expr, LineCursor *cursor)
+{
+    const bool group = expr.kind() == ExprKind::Assign;
+    if (group)
+        out += '(';
+    appendExpr(out, expr, cursor);
+    if (group)
+        out += ')';
+}
 
 /** A VarDecl or ExprStmt with its ';' but no indentation or newline:
  *  the form it takes both as a statement and as a for-init. */
-std::string
-printSimpleStmt(const Stmt &stmt, LineCursor &cursor)
+void
+appendSimpleStmt(std::string &out, const Stmt &stmt, LineCursor &cursor)
 {
     if (stmt.kind() == StmtKind::ExprStmt) {
-        return printExprAt(*static_cast<const ExprStmt &>(stmt).expr,
-                           &cursor) +
-               ";";
-    }
-    if (stmt.kind() != StmtKind::VarDecl)
-        return "?;";
-    const auto &decl = static_cast<const VarDeclStmt &>(stmt);
-    std::ostringstream os;
-    if (decl.declType->isArray()) {
-        os << decl.declType->element()->str() << " " << decl.name << "["
-           << decl.declType->arrayLength() << "]";
+        appendExpr(out, *static_cast<const ExprStmt &>(stmt).expr,
+                   &cursor);
+    } else if (stmt.kind() == StmtKind::VarDecl) {
+        const auto &decl = static_cast<const VarDeclStmt &>(stmt);
+        appendDeclarator(out, *decl.declType, decl.name);
+        if (decl.init) {
+            out += " = ";
+            appendExpr(out, *decl.init, &cursor);
+        }
     } else {
-        os << decl.declType->str() << " " << decl.name;
+        out += '?';
     }
-    if (decl.init)
-        os << " = " << printExprAt(*decl.init, &cursor);
-    os << ";";
-    return os.str();
+    out += ';';
 }
 
-std::string
-printExprAt(const Expr &expr, LineCursor *cursor)
+void
+appendExpr(std::string &out, const Expr &expr, LineCursor *cursor)
 {
-    std::ostringstream os;
     switch (expr.kind()) {
       case ExprKind::IntLit: {
         const auto &lit = static_cast<const IntLitExpr &>(expr);
-        os << lit.value;
+        out += std::to_string(lit.value);
         if (lit.isLong ||
             (expr.type && expr.type->kind() == TypeKind::Long))
-            os << "L";
+            out += 'L';
         if (lit.isUnsigned ||
             (expr.type && expr.type->kind() == TypeKind::UInt))
-            os << "U";
-        return os.str();
+            out += 'U';
+        return;
       }
       case ExprKind::FloatLit:
-        return floatLiteral(
-            static_cast<const FloatLitExpr &>(expr).value);
+        appendFloat(out, static_cast<const FloatLitExpr &>(expr).value);
+        return;
       case ExprKind::StrLit:
-        return "\"" +
-               escape(static_cast<const StrLitExpr &>(expr).bytes) +
-               "\"";
+        out += '"';
+        appendEscaped(out, static_cast<const StrLitExpr &>(expr).bytes);
+        out += '"';
+        return;
       case ExprKind::VarRef:
-        return static_cast<const VarRefExpr &>(expr).name;
+        out += static_cast<const VarRefExpr &>(expr).name;
+        return;
       case ExprKind::Unary: {
         const auto &un = static_cast<const UnaryExpr &>(expr);
-        const char *spelling = "";
         switch (un.op) {
-          case UnaryOp::Neg: spelling = "-"; break;
-          case UnaryOp::BitNot: spelling = "~"; break;
-          case UnaryOp::LogNot: spelling = "!"; break;
-          case UnaryOp::Deref: spelling = "*"; break;
-          case UnaryOp::AddrOf: spelling = "&"; break;
+          case UnaryOp::Neg: out += '-'; break;
+          case UnaryOp::BitNot: out += '~'; break;
+          case UnaryOp::LogNot: out += '!'; break;
+          case UnaryOp::Deref: out += '*'; break;
+          case UnaryOp::AddrOf: out += '&'; break;
         }
-        return std::string(spelling) +
-               printExprAt(*un.operand, cursor);
+        appendOperand(out, *un.operand, cursor);
+        return;
       }
       case ExprKind::Binary: {
         const auto &bin = static_cast<const BinaryExpr &>(expr);
-        os << "(" << printExprAt(*bin.lhs, cursor) << " "
-           << binaryOpSpelling(bin.op) << " "
-           << printExprAt(*bin.rhs, cursor) << ")";
+        out += '(';
+        appendOperand(out, *bin.lhs, cursor);
+        out += ' ';
+        out += binaryOpSpelling(bin.op);
+        out += ' ';
+        appendOperand(out, *bin.rhs, cursor);
+        out += ')';
         if (bin.widenTo64)
-            os << "/*widened*/";
-        return os.str();
+            out += "/*widened*/";
+        return;
       }
       case ExprKind::Assign: {
         const auto &assign = static_cast<const AssignExpr &>(expr);
-        os << printExprAt(*assign.target, cursor) << " ";
+        appendExpr(out, *assign.target, cursor);
+        out += ' ';
         if (assign.compoundOp)
-            os << binaryOpSpelling(*assign.compoundOp);
-        os << "= " << printExprAt(*assign.value, cursor);
-        return os.str();
+            out += binaryOpSpelling(*assign.compoundOp);
+        out += "= ";
+        appendExpr(out, *assign.value, cursor);
+        return;
       }
       case ExprKind::Cond: {
         const auto &cond = static_cast<const CondExpr &>(expr);
-        os << "(" << printExprAt(*cond.cond, cursor) << " ? "
-           << printExprAt(*cond.thenExpr, cursor) << " : "
-           << printExprAt(*cond.elseExpr, cursor) << ")";
-        return os.str();
+        out += '(';
+        appendOperand(out, *cond.cond, cursor);
+        out += " ? ";
+        appendExpr(out, *cond.thenExpr, cursor);
+        out += " : ";
+        appendOperand(out, *cond.elseExpr, cursor);
+        out += ')';
+        return;
       }
       case ExprKind::Call: {
         const auto &call = static_cast<const CallExpr &>(expr);
@@ -178,44 +224,151 @@ printExprAt(const Expr &expr, LineCursor *cursor)
             call.loc().line > cursor->anchor + cursor->offset) {
             const std::uint32_t target =
                 call.loc().line - cursor->anchor;
-            os << std::string(target - cursor->offset, '\n')
-               << pad(cursor->indent + 1);
+            out.append(target - cursor->offset, '\n');
+            appendPad(out, cursor->indent + 1);
             cursor->offset = target;
         }
-        os << call.callee << "(";
+        out += call.callee;
+        out += '(';
         for (std::size_t i = 0; i < call.args.size(); i++) {
             if (i)
-                os << ", ";
-            os << printExprAt(*call.args[i], cursor);
+                out += ", ";
+            appendExpr(out, *call.args[i], cursor);
         }
-        os << ")";
-        return os.str();
+        out += ')';
+        return;
       }
       case ExprKind::Index: {
         const auto &index = static_cast<const IndexExpr &>(expr);
-        os << printExprAt(*index.base, cursor) << "["
-           << printExprAt(*index.index, cursor) << "]";
-        return os.str();
+        appendOperand(out, *index.base, cursor);
+        out += '[';
+        appendExpr(out, *index.index, cursor);
+        out += ']';
+        return;
       }
       case ExprKind::Member: {
         const auto &member = static_cast<const MemberExpr &>(expr);
-        os << printExprAt(*member.base, cursor)
-           << (member.isArrow ? "->" : ".") << member.field;
-        return os.str();
+        appendOperand(out, *member.base, cursor);
+        out += member.isArrow ? "->" : ".";
+        out += member.field;
+        return;
       }
       case ExprKind::Cast: {
         const auto &cast = static_cast<const CastExpr &>(expr);
-        os << "(" << cast.target->str() << ")"
-           << printExprAt(*cast.operand, cursor);
-        return os.str();
+        out += '(';
+        out += cast.target->str();
+        out += ')';
+        appendOperand(out, *cast.operand, cursor);
+        return;
       }
       case ExprKind::SizeOf:
-        os << "sizeof("
-           << static_cast<const SizeOfExpr &>(expr).queried->str()
-           << ")";
-        return os.str();
+        out += "sizeof(";
+        out += static_cast<const SizeOfExpr &>(expr).queried->str();
+        out += ')';
+        return;
     }
-    return "?";
+    out += '?';
+}
+
+void
+appendStmt(std::string &out, const Stmt &stmt, int indent)
+{
+    LineCursor cursor{stmt.loc().line, 0, indent};
+    appendPad(out, indent);
+    switch (stmt.kind()) {
+      case StmtKind::Block:
+        out += "{\n";
+        for (const auto &child :
+             static_cast<const BlockStmt &>(stmt).body)
+            appendStmt(out, *child, indent + 1);
+        appendPad(out, indent);
+        out += "}\n";
+        return;
+      case StmtKind::VarDecl:
+      case StmtKind::ExprStmt:
+        appendSimpleStmt(out, stmt, cursor);
+        out += '\n';
+        return;
+      case StmtKind::If: {
+        const auto &if_stmt = static_cast<const IfStmt &>(stmt);
+        out += "if (";
+        appendExpr(out, *if_stmt.cond, &cursor);
+        out += ")\n";
+        appendStmt(out, *if_stmt.thenStmt, indent);
+        if (if_stmt.elseStmt) {
+            appendPad(out, indent);
+            out += "else\n";
+            appendStmt(out, *if_stmt.elseStmt, indent);
+        }
+        return;
+      }
+      case StmtKind::While: {
+        const auto &while_stmt = static_cast<const WhileStmt &>(stmt);
+        out += "while (";
+        appendExpr(out, *while_stmt.cond, &cursor);
+        out += ")\n";
+        appendStmt(out, *while_stmt.body, indent);
+        return;
+      }
+      case StmtKind::For: {
+        const auto &for_stmt = static_cast<const ForStmt &>(stmt);
+        out += "for (";
+        // Lowering charges the init and the condition to the init
+        // statement, and the step to the for itself.
+        if (for_stmt.init) {
+            cursor.anchor = for_stmt.init->loc().line;
+            appendSimpleStmt(out, *for_stmt.init, cursor);
+        } else {
+            out += ';';
+        }
+        out += ' ';
+        if (for_stmt.cond)
+            appendExpr(out, *for_stmt.cond, &cursor);
+        out += "; ";
+        cursor.anchor = stmt.loc().line;
+        if (for_stmt.step)
+            appendExpr(out, *for_stmt.step, &cursor);
+        out += ")\n";
+        appendStmt(out, *for_stmt.body, indent);
+        return;
+      }
+      case StmtKind::Return: {
+        const auto &ret = static_cast<const ReturnStmt &>(stmt);
+        out += "return";
+        if (ret.value) {
+            out += ' ';
+            appendExpr(out, *ret.value, &cursor);
+        }
+        out += ";\n";
+        return;
+      }
+      case StmtKind::Break:
+        out += "break;\n";
+        return;
+      case StmtKind::Continue:
+        out += "continue;\n";
+        return;
+    }
+    out += "?;\n";
+}
+
+void
+appendFunction(std::string &out, const FunctionDecl &func)
+{
+    out += func.returnType->str();
+    out += ' ';
+    out += func.name;
+    out += '(';
+    for (std::size_t i = 0; i < func.params.size(); i++) {
+        if (i)
+            out += ", ";
+        out += func.params[i].type->str();
+        out += ' ';
+        out += func.params[i].name;
+    }
+    out += ")\n";
+    if (func.body)
+        appendStmt(out, *func.body, 0);
 }
 
 } // namespace
@@ -223,134 +376,57 @@ printExprAt(const Expr &expr, LineCursor *cursor)
 std::string
 printExpr(const Expr &expr)
 {
-    return printExprAt(expr, nullptr);
+    std::string out;
+    appendExpr(out, expr, nullptr);
+    return out;
 }
 
 std::string
 printStmt(const Stmt &stmt, int indent)
 {
-    std::ostringstream os;
-    LineCursor cursor{stmt.loc().line, 0, indent};
-    switch (stmt.kind()) {
-      case StmtKind::Block: {
-        os << pad(indent) << "{\n";
-        for (const auto &child :
-             static_cast<const BlockStmt &>(stmt).body)
-            os << printStmt(*child, indent + 1);
-        os << pad(indent) << "}\n";
-        return os.str();
-      }
-      case StmtKind::VarDecl:
-      case StmtKind::ExprStmt:
-        return pad(indent) + printSimpleStmt(stmt, cursor) + "\n";
-      case StmtKind::If: {
-        const auto &if_stmt = static_cast<const IfStmt &>(stmt);
-        os << pad(indent) << "if ("
-           << printExprAt(*if_stmt.cond, &cursor) << ")\n"
-           << printStmt(*if_stmt.thenStmt, indent);
-        if (if_stmt.elseStmt) {
-            os << pad(indent) << "else\n"
-               << printStmt(*if_stmt.elseStmt, indent);
-        }
-        return os.str();
-      }
-      case StmtKind::While: {
-        const auto &while_stmt =
-            static_cast<const WhileStmt &>(stmt);
-        os << pad(indent) << "while ("
-           << printExprAt(*while_stmt.cond, &cursor) << ")\n"
-           << printStmt(*while_stmt.body, indent);
-        return os.str();
-      }
-      case StmtKind::For: {
-        const auto &for_stmt = static_cast<const ForStmt &>(stmt);
-        os << pad(indent) << "for (";
-        // Lowering charges the init and the condition to the init
-        // statement, and the step to the for itself.
-        if (for_stmt.init) {
-            cursor.anchor = for_stmt.init->loc().line;
-            os << printSimpleStmt(*for_stmt.init, cursor);
-        } else {
-            os << ";";
-        }
-        os << " ";
-        if (for_stmt.cond)
-            os << printExprAt(*for_stmt.cond, &cursor);
-        os << "; ";
-        cursor.anchor = stmt.loc().line;
-        if (for_stmt.step)
-            os << printExprAt(*for_stmt.step, &cursor);
-        os << ")\n" << printStmt(*for_stmt.body, indent);
-        return os.str();
-      }
-      case StmtKind::Return: {
-        const auto &ret = static_cast<const ReturnStmt &>(stmt);
-        os << pad(indent) << "return";
-        if (ret.value)
-            os << " " << printExprAt(*ret.value, &cursor);
-        os << ";\n";
-        return os.str();
-      }
-      case StmtKind::Break:
-        return pad(indent) + "break;\n";
-      case StmtKind::Continue:
-        return pad(indent) + "continue;\n";
-    }
-    return pad(indent) + "?;\n";
+    std::string out;
+    appendStmt(out, stmt, indent);
+    return out;
 }
 
 std::string
 printFunction(const FunctionDecl &func)
 {
-    std::ostringstream os;
-    os << func.returnType->str() << " " << func.name << "(";
-    for (std::size_t i = 0; i < func.params.size(); i++) {
-        if (i)
-            os << ", ";
-        os << func.params[i].type->str() << " "
-           << func.params[i].name;
-    }
-    os << ")\n";
-    if (func.body)
-        os << printStmt(*func.body, 0);
-    return os.str();
+    std::string out;
+    appendFunction(out, func);
+    return out;
 }
 
 std::string
 printProgram(const Program &program)
 {
-    std::ostringstream os;
+    std::string out;
     for (const StructInfo *info : program.types->allStructs()) {
-        os << "struct " << info->name << " {\n";
+        out += "struct ";
+        out += info->name;
+        out += " {\n";
         for (const auto &field : info->fields) {
-            if (field.type->isArray()) {
-                os << "    " << field.type->element()->str() << " "
-                   << field.name << "["
-                   << field.type->arrayLength() << "];\n";
-            } else {
-                os << "    " << field.type->str() << " "
-                   << field.name << ";\n";
-            }
+            out += "    ";
+            appendDeclarator(out, *field.type, field.name);
+            out += ";\n";
         }
-        os << "};\n";
+        out += "};\n";
     }
     for (const auto &global : program.globals) {
-        if (global->type->isArray()) {
-            os << global->type->element()->str() << " "
-               << global->name << "["
-               << global->type->arrayLength() << "]";
-        } else {
-            os << global->type->str() << " " << global->name;
+        appendDeclarator(out, *global->type, global->name);
+        if (global->init) {
+            out += " = ";
+            appendExpr(out, *global->init, nullptr);
         }
-        if (global->init)
-            os << " = " << printExpr(*global->init);
-        os << ";\n";
+        out += ";\n";
     }
     if (!program.globals.empty())
-        os << "\n";
-    for (const auto &func : program.functions)
-        os << printFunction(*func) << "\n";
-    return os.str();
+        out += '\n';
+    for (const auto &func : program.functions) {
+        appendFunction(out, *func);
+        out += '\n';
+    }
+    return out;
 }
 
 } // namespace compdiff::minic

@@ -1,5 +1,7 @@
 #include "minic/sema.hh"
 
+#include <algorithm>
+
 #include "support/logging.hh"
 
 namespace compdiff::minic
@@ -55,6 +57,13 @@ Sema::analyze(Program &program)
         }
         func->index = next_func++;
     }
+    // Every run starts in main(): without one nothing could execute.
+    const auto is_main = [](const auto &func) {
+        return func->name == "main";
+    };
+    if (std::none_of(program.functions.begin(),
+                     program.functions.end(), is_main))
+        diags_.error({1, 1}, "no function 'main'");
 
     for (auto &func : program.functions)
         analyzeFunction(*func);

@@ -6,6 +6,7 @@
 #include "minic/parser.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "reduce/input_reducer.hh"
 #include "sanitizers/sanitizers.hh"
 #include "session/session.hh"
 #include "support/logging.hh"
@@ -16,54 +17,62 @@ namespace compdiff::targets
 namespace
 {
 
+/** Candidates one witness minimization may try. Reduction is
+ *  anytime, so the budget bounds only its cost. */
+constexpr std::uint64_t kWitnessCandidateBudget = 1024;
+
 /**
- * AFL-tmin-style witness reduction: shrink the input while it still
- * fires the bug's probe and still diverges. This is the automatic
- * counterpart of the paper's manual triage — without it, a witness
- * carrying several records would attribute *other* records' sanitizer
- * reports to this bug (Table 6 would be contaminated).
+ * The reduce::Oracle of witness minimization: a smaller input keeps
+ * the bug while it still fires the bug's probe on B_fuzz and still
+ * diverges. This is the automatic counterpart of the paper's manual
+ * triage — without it, a witness carrying several records would
+ * attribute *other* records' sanitizer reports to this bug (Table 6
+ * would be contaminated).
  */
-support::Bytes
-minimizeWitness(const core::DiffEngine &engine, vm::Vm &probe_vm,
-                const support::Bytes &input, int probe)
+class ProbeOracle : public reduce::Oracle
 {
-    auto still_good = [&](const support::Bytes &candidate) {
-        auto run = probe_vm.run(candidate);
-        if (std::find(run.probes.begin(), run.probes.end(), probe) ==
-            run.probes.end()) {
+  public:
+    ProbeOracle(const core::DiffEngine &engine, vm::Vm &probe_vm,
+                int probe)
+        : engine_(engine), probeVm_(probe_vm), probe_(probe)
+    {}
+
+    /** Any divergence that fires the probe will do, so the probe
+     *  stands in for a signature. */
+    std::uint64_t targetSignature() const override
+    {
+        return static_cast<std::uint64_t>(probe_);
+    }
+
+    bool preserves(const minic::Program &,
+                   const support::Bytes &input) override
+    {
+        if (budgetExhausted())
+            return false;
+        stats_.tried++;
+        const auto run = probeVm_.run(input);
+        if (std::find(run.probes.begin(), run.probes.end(), probe_) ==
+                run.probes.end() ||
+            !engine_.runInput(input).divergent) {
             return false;
         }
-        return engine.runInput(candidate).divergent;
-    };
-
-    support::Bytes current = input;
-    bool changed = true;
-    for (int round = 0; round < 4 && changed; round++) {
-        changed = false;
-        for (std::size_t chunk = std::max<std::size_t>(
-                 current.size() / 2, 1);
-             chunk >= 1; chunk /= 2) {
-            for (std::size_t pos = 0;
-                 pos + chunk <= current.size();) {
-                support::Bytes candidate = current;
-                candidate.erase(
-                    candidate.begin() +
-                        static_cast<std::ptrdiff_t>(pos),
-                    candidate.begin() +
-                        static_cast<std::ptrdiff_t>(pos + chunk));
-                if (still_good(candidate)) {
-                    current = std::move(candidate);
-                    changed = true;
-                } else {
-                    pos += chunk;
-                }
-            }
-            if (chunk == 1)
-                break;
-        }
+        stats_.accepted++;
+        return true;
     }
-    return current;
-}
+
+    bool budgetExhausted() const override
+    {
+        return stats_.tried >= kWitnessCandidateBudget;
+    }
+
+    const reduce::OracleStats &stats() const override { return stats_; }
+
+  private:
+    const core::DiffEngine &engine_;
+    vm::Vm &probeVm_;
+    const int probe_;
+    reduce::OracleStats stats_;
+};
 
 } // namespace
 
@@ -148,8 +157,7 @@ runCampaign(const TargetProgram &target,
     const fuzz::FuzzOptions &fuzz_options = config.fuzz;
     core::DiffOptions diff_options = fuzz_options.diffOptions;
     diff_options.limits = fuzz_options.limits;
-    core::DiffEngine engine(*program,
-                            compiler::standardImplementations(),
+    core::DiffEngine engine(*program, fuzz_options.diffImpls,
                             diff_options);
     compiler::Compiler comp(*program);
     const compiler::CompilerConfig probe_config =
@@ -167,8 +175,10 @@ runCampaign(const TargetProgram &target,
         BugFinding finding;
         finding.probeId = probe;
         finding.bug = bug;
+        ProbeOracle oracle(engine, probe_vm, probe);
         finding.witness =
-            minimizeWitness(engine, probe_vm, record->input, probe);
+            reduce::reduceInput(oracle, *program, record->input)
+                .reduced;
         finding.hashVector =
             engine.runInput(finding.witness).hashVector();
         if (check_sanitizers) {

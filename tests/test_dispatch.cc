@@ -9,8 +9,8 @@
  * output, exit classification, sanitizer reports, probes, coverage,
  * and the instruction count that drives the RQ6 budget discipline —
  * for every program, including ones that trap mid-expression. These
- * tests pin that invariant over the bundled seed-bug targets and a
- * randomized MiniC sweep, then pin the batch/retarget layers on top
+ * tests pin that invariant over the bundled seed-bug targets and
+ * generated programs that may fault (tests/program_gen.hh), then pin the batch/retarget layers on top
  * (DiffEngine::runBatch, retarget() and the fuzzer's deferred oracle
  * flushes must match fresh per-input runs bit for bit).
  *
@@ -36,9 +36,9 @@
 #include "compiler/compiler.hh"
 #include "fuzz/fuzzer.hh"
 #include "minic/parser.hh"
+#include "program_gen.hh"
 #include "session/serial.hh"
 #include "support/hash.hh"
-#include "support/rng.hh"
 #include "support/strings.hh"
 #include "targets/targets.hh"
 #include "vm/coverage.hh"
@@ -49,6 +49,7 @@ namespace
 
 using namespace compdiff;
 using support::format;
+using testgen::resultKey;
 
 const compiler::CompilerConfig kGccO0{compiler::Vendor::Gcc,
                                       compiler::OptLevel::O0,
@@ -56,23 +57,6 @@ const compiler::CompilerConfig kGccO0{compiler::Vendor::Gcc,
 const compiler::CompilerConfig kClangO3{compiler::Vendor::Clang,
                                         compiler::OptLevel::O3,
                                         compiler::Sanitizer::None};
-
-/** Everything the oracle stack can observe about one execution. */
-std::string
-resultKey(const vm::ExecutionResult &result)
-{
-    std::string key = result.exitClass();
-    key += "|" + std::to_string(result.exitCode);
-    key += "|" + std::to_string(static_cast<int>(result.termination));
-    key += "|" + std::to_string(static_cast<int>(result.trap));
-    key += "|" + std::to_string(result.instructions);
-    for (int probe : result.probes)
-        key += ",p" + std::to_string(probe);
-    for (const auto &report : result.sanReports)
-        key += ",s" + report.str();
-    key += "|" + result.output;
-    return key;
-}
 
 struct ModeRun
 {
@@ -279,76 +263,27 @@ TEST(VmGolden, ObservationDigestsMatchRecorded)
 }
 
 // ------------------------------------------------------------------
-// Satellite: identity over randomized MiniC programs. Unlike the
-// well-definedness sweep in test_properties.cc, this generator
-// *wants* runtime faults (unguarded division, oversized shifts):
+// Satellite: identity over generated programs. Unlike the
+// well-definedness sweep in test_properties.cc, these programs may
+// fault (unguarded division, oversized shifts, wild indices):
 // identity is per-configuration, and trap paths are exactly where a
 // fused handler could stop one instruction early or late.
 // ------------------------------------------------------------------
-
-std::string
-randomProgram(std::uint64_t seed)
-{
-    support::Rng rng(seed);
-    std::string body;
-    const int vars = static_cast<int>(rng.range(3, 6));
-    for (int i = 0; i < vars; i++)
-        body += format("int v%d = %ld;\n", i, rng.range(-40, 40));
-    const auto var = [&] {
-        return format("v%d", static_cast<int>(
-                                 rng.range(0, vars - 1)));
-    };
-    const int stmts = static_cast<int>(rng.range(4, 12));
-    for (int i = 0; i < stmts; i++) {
-        switch (rng.below(6)) {
-          case 0:
-            body += var() + " = " + var() + " + " +
-                    format("%ld", rng.range(-30, 30)) + ";\n";
-            break;
-          case 1: // unguarded division: may fault, identically
-            body += var() + " = " + var() + " / " + var() + ";\n";
-            break;
-          case 2: // variable shift count: ShiftNorm paths
-            body += var() + " = " + var() + " << (" + var() +
-                    " & 40);\n";
-            break;
-          case 3:
-            body += "if (" + var() + " < " + var() + ") { " + var() +
-                    " = " + var() + " * 3; }\n";
-            break;
-          case 4: {
-            const std::string v = var();
-            body += "for (int it = 0; it < " +
-                    format("%ld", rng.range(1, 9)) + "; it += 1) { " +
-                    v + " = (" + v + " + it) & 2047; }\n";
-            break;
-          }
-          default: {
-            const std::string v = var();
-            body += format("{ int arr[4]; arr[%s & 3] = %s; %s = "
-                           "arr[0] + arr[3]; }\n",
-                           v.c_str(), v.c_str(), v.c_str());
-            break;
-          }
-        }
-    }
-    for (int i = 0; i < vars; i++)
-        body += format("print_int(v%d); newline();\n", i);
-    return "int main() {\n" + body + "return 0;\n}\n";
-}
 
 class RandomizedDispatchIdentity : public testing::TestWithParam<int>
 {};
 
 TEST_P(RandomizedDispatchIdentity, AllModesAgree)
 {
-    const std::string source = randomProgram(
-        0xD15BA7C4ull + static_cast<std::uint64_t>(GetParam()));
+    const std::string source = testgen::generateProgram(
+        0xD15BA7C4ull + static_cast<std::uint64_t>(GetParam()),
+        testgen::Mode::MayFault);
+    SCOPED_TRACE(source);
     auto program = minic::parseAndCheck(source);
     compiler::Compiler comp(*program);
     for (const auto &config : {kGccO0, kClangO3}) {
         const auto module = comp.compile(config);
-        expectDispatchIdentity(module, config, {},
+        expectDispatchIdentity(module, config, {3, 1, 4},
                                "random/" + config.name());
     }
 }

@@ -26,8 +26,8 @@
 #include "compiler/compiler.hh"
 #include "minic/parser.hh"
 #include "obs/metrics.hh"
+#include "program_gen.hh"
 #include "support/hash.hh"
-#include "support/rng.hh"
 #include "support/strings.hh"
 #include "vm/coverage.hh"
 #include "vm/vm.hh"
@@ -37,23 +37,7 @@ namespace
 
 using namespace compdiff;
 using support::format;
-
-/** Everything a run's ExecutionResult holds. */
-std::string
-resultKey(const vm::ExecutionResult &result)
-{
-    std::string key = result.exitClass();
-    key += "|" + std::to_string(result.exitCode);
-    key += "|" + std::to_string(static_cast<int>(result.termination));
-    key += "|" + std::to_string(static_cast<int>(result.trap));
-    key += "|" + std::to_string(result.instructions);
-    for (int probe : result.probes)
-        key += ",p" + std::to_string(probe);
-    for (const auto &report : result.sanReports)
-        key += ",s" + report.str();
-    key += "|" + result.output;
-    return key;
-}
+using testgen::resultKey;
 
 std::string
 readTestData(const std::string &name)
@@ -381,78 +365,6 @@ TEST(HangFastForward, CyclesAreSkippedAndCounted)
     }
 }
 
-/**
- * A random loop over a small state: two to four variables kept small
- * by masks, a global ring, a helper call, input reads and output.
- * Most runs cycle, some after a transient, some never, and some exit.
- */
-std::string
-randomLoop(std::uint64_t seed)
-{
-    support::Rng rng(seed);
-    const int vars = static_cast<int>(rng.range(2, 4));
-    const auto var = [&] {
-        return format("v%d", static_cast<int>(rng.range(0, vars - 1)));
-    };
-    std::string body;
-    const int stmts = static_cast<int>(rng.range(2, 6));
-    for (int i = 0; i < stmts; i++) {
-        const std::string v = var();
-        switch (rng.below(8)) {
-          case 0:
-            body += format("        %s = (%s + %ld) & %d;\n", v.c_str(),
-                           var().c_str(), rng.range(1, 9),
-                           rng.below(2) ? 15 : 255);
-            break;
-          case 1:
-            body += format("        %s = (%s * 3 + %s) & 15;\n",
-                           v.c_str(), v.c_str(), var().c_str());
-            break;
-          case 2:
-            body += format("        if (%s < %s) {\n"
-                           "            print_int(%s);\n"
-                           "        }\n",
-                           v.c_str(), var().c_str(), v.c_str());
-            break;
-          case 3:
-            body += format("        print_char(%ld);\n",
-                           rng.range('a', 'z'));
-            break;
-          case 4:
-            body += format("        ring[%s & 7] = %s;\n"
-                           "        %s = ring[%s & 7];\n",
-                           v.c_str(), var().c_str(), var().c_str(),
-                           v.c_str());
-            break;
-          case 5:
-            body += format("        %s = step(%s, %s);\n", v.c_str(),
-                           v.c_str(), var().c_str());
-            break;
-          case 6:
-            body += format("        %s = (%s + read_byte()) & 15;\n",
-                           v.c_str(), v.c_str());
-            break;
-          default: // a counter that may never repeat
-            body += format("        %s = %s + 1;\n", v.c_str(),
-                           v.c_str());
-            break;
-        }
-    }
-    std::string source = "int ring[8];\n\n"
-                         "int step(int a, int b) {\n"
-                         "    return (a + b + 1) & 7;\n"
-                         "}\n\n"
-                         "int main() {\n";
-    for (int i = 0; i < vars; i++)
-        source += format("    int v%d = %ld;\n", i, rng.range(0, 15));
-    source += format("    while (v0 != %ld) {\n", rng.range(0, 300));
-    source += body;
-    source += "    }\n";
-    for (int i = 0; i < vars; i++)
-        source += format("    print_int(v%d);\n", i);
-    return source + "    return 0;\n}\n";
-}
-
 TEST(HangFastForward, RandomLoopsMatchRunsWithCoverage)
 {
     // A coverage map turns the fast-forward off: the covered run is
@@ -466,8 +378,13 @@ TEST(HangFastForward, RandomLoopsMatchRunsWithCoverage)
     const compiler::CompilerConfig kClangO2{compiler::Vendor::Clang,
                                             compiler::OptLevel::O2,
                                             compiler::Sanitizer::None};
+    // Generated programs that loop in main until a variable meets a
+    // random value: most runs cycle, some after a transient, some
+    // never, and some exit.
     for (std::uint64_t seed = 1; seed <= 60; seed++) {
-        const std::string source = randomLoop(0x4A46ull * seed);
+        const std::string source = testgen::generateProgram(
+            0x4A46ull * seed, testgen::Mode::MayFault,
+            testgen::Shape::CyclingLoop);
         auto parsed = minic::parseAndCheck(source);
         compiler::Compiler comp(*parsed);
         for (const auto &config : {kGccO0, kClangO2}) {

@@ -126,6 +126,57 @@ TEST(Parser, SyntaxErrorThrows)
                  CompileError);
 }
 
+// Three shapes whose deepest point nests exactly `depth` levels, all
+// on line 2: the return statement is one level, and each
+// parenthesized group, block or operator of a chain adds one.
+std::string
+nestedParens(int depth)
+{
+    const auto groups = static_cast<std::size_t>(depth - 1);
+    return "int main() {\n    return " + std::string(groups, '(') +
+           "1" + std::string(groups, ')') + ";\n}\n";
+}
+
+std::string
+nestedBlocks(int depth)
+{
+    const auto blocks = static_cast<std::size_t>(depth);
+    return "int main() {\n    " + std::string(blocks, '{') +
+           std::string(blocks, '}') + "\n    return 0;\n}\n";
+}
+
+std::string
+flatSum(int depth)
+{
+    std::string sum = "1";
+    for (int term = 1; term < depth; term++)
+        sum += " + 1";
+    return "int main() {\n    return " + sum + ";\n}\n";
+}
+
+TEST(Parser, NestingPastTheBoundIsACompileError)
+{
+    for (const auto shape : {nestedParens, nestedBlocks, flatSum}) {
+        EXPECT_NO_THROW(parseAndCheck(shape(kMaxNestingDepth)));
+        for (const int depth : {kMaxNestingDepth + 1, 20'000}) {
+            SCOPED_TRACE(depth);
+            try {
+                parseAndCheck(shape(depth));
+                ADD_FAILURE() << "parsed " << shape(3);
+            } catch (const CompileError &error) {
+                EXPECT_NE(std::string(error.what())
+                              .find("error at 2:"),
+                          std::string::npos)
+                    << error.what();
+                EXPECT_NE(std::string(error.what())
+                              .find("nesting deeper than 256 levels"),
+                          std::string::npos)
+                    << error.what();
+            }
+        }
+    }
+}
+
 TEST(Sema, TypesExpressions)
 {
     auto program = parseAndCheck(R"(

@@ -161,6 +161,49 @@ TEST(Printer, RoundTripKeepsLineDivergence)
     }
 }
 
+/** An assignment used as an operand keeps its parentheses: the
+ *  parser reads `=` last, so `(c = x) != -1` printed bare would
+ *  reparse as `c = (x != -1)`. */
+TEST(Printer, AssignmentOperandsKeepTheirGrouping)
+{
+    auto original = parseAndCheck(R"(
+        int main() {
+            int c = 0;
+            int n = 0;
+            int a = 0;
+            long l = 0L;
+            char *p = "xyz";
+            while ((c = input_byte(n)) != -1)
+                n = n + 1;
+            print_int(c * 100 + n);
+            print_int(-(a = 2));
+            print_int((a = 1) ? (l = 5L) > 4L : (c = 2));
+            print_int((int)(l = 7L) + a);
+            print_int((p = "abc")[1]);
+            return a = 3;
+        }
+    )");
+    const std::string text = printProgram(*original);
+    for (const char *grouped :
+         {"((c = input_byte(n)) != -1)", "-(a = 2)",
+          "((a = 1) ? ((l = 5L) > 4L) : (c = 2))", "(int)(l = 7L)",
+          "(p = \"abc\")[1]", "return a = 3;"}) {
+        EXPECT_NE(text.find(grouped), std::string::npos)
+            << grouped << "\n"
+            << text;
+    }
+    auto reparsed = parseAndCheck(text);
+    EXPECT_EQ(printProgram(*reparsed), text);
+    const compiler::CompilerConfig config{compiler::Vendor::Gcc,
+                                          compiler::OptLevel::O0};
+    const auto run = [&](const minic::Program &program) {
+        const auto module = compiler::Compiler(program).compile(config);
+        return vm::Vm(module, config).run({4, 5}).output;
+    };
+    EXPECT_EQ(run(*original), "-98-21898");
+    EXPECT_EQ(run(*reparsed), run(*original));
+}
+
 /** Lowering reads source lines, so a program and its printed form
  *  are different compile inputs even where their text agrees. */
 TEST(Printer, ReparsedFormGetsItsOwnCompileCacheEntry)

@@ -7,155 +7,171 @@
  * of undefined behavior MUST behave identically under every
  * compiler implementation. We check it two ways:
  *
- *  1. a Csmith-style random generator emits *well-defined* MiniC
- *     programs (guarded arithmetic, clamped indices, balanced
- *     malloc/free) and every one must be stable across all ten
- *     implementations and silent under all three sanitizers;
+ *  1. UB-free programs from the test generator (tests/program_gen.hh)
+ *     form one behavior class under the ten implementations and the
+ *     reference interpreter, so the threaded VM and the tree-walking
+ *     interpreter cross-check each other; the certifying interpreter
+ *     finds no UB in them and no sanitizer fires;
  *  2. parameterized sweeps assert per-implementation semantics that
  *     the C standard pins down (two's-complement unsigned wrap,
  *     short-circuit evaluation, ...) hold under every configuration.
+ *
+ * The frontend half: every generated program survives a print/parse
+ * round trip, nesting stops exactly at the parser's bound, and
+ * mutated program text is parsed or rejected, never crashes.
  */
 
 #include <gtest/gtest.h>
 
 #include "compdiff/engine.hh"
+#include "compdiff/implementation.hh"
 #include "compiler/compiler.hh"
 #include "minic/parser.hh"
+#include "minic/printer.hh"
+#include "program_gen.hh"
+#include "refinterp/refinterp.hh"
 #include "sanitizers/sanitizers.hh"
 #include "support/rng.hh"
-#include "support/strings.hh"
 #include "vm/vm.hh"
 
 namespace
 {
 
 using namespace compdiff;
-using support::format;
-using support::Rng;
 
-/**
- * Generates random *well-defined* MiniC programs: every division is
- * guarded, every index clamped, every variable initialized, every
- * shift masked, and arithmetic stays in safe ranges.
- */
-class SafeProgramGenerator
-{
-  public:
-    explicit SafeProgramGenerator(std::uint64_t seed) : rng_(seed) {}
-
-    std::string
-    generate()
-    {
-        vars_ = 0;
-        std::string body;
-        const int decls = static_cast<int>(rng_.range(2, 5));
-        for (int i = 0; i < decls; i++)
-            body += declare();
-        const int stmts = static_cast<int>(rng_.range(3, 10));
-        for (int i = 0; i < stmts; i++)
-            body += statement();
-        for (int i = 0; i < vars_; i++)
-            body += format("print_int(v%d); newline();\n", i);
-        return "int main() {\n" + body + "return 0;\n}\n";
-    }
-
-  private:
-    std::string
-    declare()
-    {
-        const int id = vars_++;
-        return format("int v%d = %ld;\n", id, rng_.range(-50, 50));
-    }
-
-    std::string
-    var()
-    {
-        return format("v%d",
-                      static_cast<int>(rng_.range(0, vars_ - 1)));
-    }
-
-    std::string
-    expr(int depth = 0)
-    {
-        if (depth > 2 || rng_.chance(1, 3))
-            return rng_.chance(1, 2)
-                       ? var()
-                       : format("%ld", rng_.range(-30, 30));
-        const std::string a = expr(depth + 1);
-        const std::string b = expr(depth + 1);
-        switch (rng_.below(6)) {
-          case 0:
-            return "(" + a + " + " + b + ")";
-          case 1:
-            return "(" + a + " - " + b + ")";
-          case 2:
-            // Keep products well inside int range: operands are
-            // built from values in [-50, 50] combined a few times.
-            return "((" + a + " % 100) * (" + b + " % 100))";
-          case 3:
-            // Guarded division.
-            return "(" + b + " == 0 ? 0 : " + a + " / " + b + ")";
-          case 4:
-            return "(" + a + " < " + b + ")";
-          default:
-            return "((" + a + ") & 255)";
-        }
-    }
-
-    std::string
-    statement()
-    {
-        switch (rng_.below(4)) {
-          case 0:
-            return var() + " = " + expr() + ";\n";
-          case 1:
-            return "if (" + expr() + " > " + expr() + ") { " + var() +
-                   " = " + expr() + "; } else { " + var() + " = " +
-                   expr() + "; }\n";
-          case 2: {
-            const std::string v = var();
-            return "for (int it = 0; it < " +
-                   format("%ld", rng_.range(1, 8)) + "; it += 1) { " +
-                   v + " = (" + v + " + it) & 1023; }\n";
-          }
-          default: {
-            // A safe array round-trip with a clamped index.
-            const std::string v = var();
-            return format("{ int arr[8]; for (int k = 0; k < 8; "
-                          "k += 1) { arr[k] = k * 2; } %s = "
-                          "arr[(%s & 7)]; }\n",
-                          v.c_str(), v.c_str());
-          }
-        }
-    }
-
-    Rng rng_;
-    int vars_ = 0;
-};
+const compiler::CompilerConfig kGccO0{compiler::Vendor::Gcc,
+                                      compiler::OptLevel::O0,
+                                      compiler::Sanitizer::None};
 
 class WellDefinedPrograms : public testing::TestWithParam<int>
 {};
 
 TEST_P(WellDefinedPrograms, StableAcrossAllImplementations)
 {
-    SafeProgramGenerator generator(
-        0xC0DE0000ull + static_cast<std::uint64_t>(GetParam()));
-    const std::string source = generator.generate();
-
+    const std::string source = testgen::generateProgram(
+        0xC0DE0000ull + static_cast<std::uint64_t>(GetParam()),
+        testgen::Mode::UbFree);
+    SCOPED_TRACE(source);
     std::unique_ptr<minic::Program> program;
-    ASSERT_NO_THROW(program = minic::parseAndCheck(source))
-        << source;
+    ASSERT_NO_THROW(program = minic::parseAndCheck(source));
 
-    core::DiffEngine engine(*program);
-    auto diff = engine.runInput({});
-    EXPECT_FALSE(diff.divergent) << diff.summary() << "\n" << source;
+    const support::Bytes input = {3, 1, 4, 1, 5};
+    core::DiffEngine engine(*program, core::parseImplementations("all"));
+    const auto diff = engine.runInput(input);
+    EXPECT_EQ(diff.classCount, 1u) << diff.summary();
+    EXPECT_EQ(diff.observations.front().exitClass, "exit:0");
+
+    const auto certified =
+        refinterp::RefInterpreter(*program).certify(input);
+    for (const auto &certificate : certified.certificates)
+        ADD_FAILURE() << certificate.str();
 
     sanitizers::SanitizerRunner runner(*program);
-    EXPECT_FALSE(runner.anyFires({})) << source;
+    EXPECT_FALSE(runner.anyFires(input));
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSweep, WellDefinedPrograms,
-                         testing::Range(0, 60));
+                         testing::Range(0, 200));
+
+/** Every generated program parses, and printing it is a fixpoint of
+ *  parsing: print(parse(print(p))) == print(p). */
+TEST(GeneratedPrograms, PrintParsePrintIsAFixpoint)
+{
+    for (std::uint64_t seed = 0; seed < 400; seed++) {
+        const std::string source = testgen::generateProgram(
+            seed, seed % 2 ? testgen::Mode::MayFault
+                           : testgen::Mode::UbFree,
+            static_cast<testgen::Shape>(seed / 2 % 4),
+            minic::kMaxNestingDepth);
+        SCOPED_TRACE(source);
+        std::unique_ptr<minic::Program> program;
+        ASSERT_NO_THROW(program = minic::parseAndCheck(source));
+        const std::string printed = minic::printProgram(*program);
+        std::unique_ptr<minic::Program> reparsed;
+        ASSERT_NO_THROW(reparsed = minic::parseAndCheck(printed))
+            << printed;
+        EXPECT_EQ(minic::printProgram(*reparsed), printed);
+    }
+}
+
+/** A program nesting as deep as the parser allows round-trips and
+ *  runs; one level deeper is a CompileError. */
+TEST(GeneratedPrograms, NestingStopsAtTheBound)
+{
+    for (std::uint64_t seed = 0; seed < 20; seed++) {
+        const auto deep = [seed](int depth) {
+            return testgen::generateProgram(seed, testgen::Mode::UbFree,
+                                            testgen::Shape::Deep, depth);
+        };
+        const std::string source = deep(minic::kMaxNestingDepth);
+        SCOPED_TRACE(source);
+        std::unique_ptr<minic::Program> program;
+        ASSERT_NO_THROW(program = minic::parseAndCheck(source));
+        const std::string printed = minic::printProgram(*program);
+        std::unique_ptr<minic::Program> reparsed;
+        ASSERT_NO_THROW(reparsed = minic::parseAndCheck(printed));
+        EXPECT_EQ(minic::printProgram(*reparsed), printed);
+        const auto module = compiler::Compiler(*program).compile(kGccO0);
+        EXPECT_EQ(vm::Vm(module, kGccO0).run({}).exitClass(), "exit:0");
+
+        EXPECT_THROW(minic::parseAndCheck(deep(minic::kMaxNestingDepth + 1)),
+                     support::CompileError);
+    }
+}
+
+/**
+ * Mutated program text (flipped bytes, truncations, inserted
+ * brackets, repeated spans) either parses or is rejected with a
+ * CompileError; it never crashes, aborts or hangs the frontend. What
+ * parses prints to a fixpoint, compiles, and runs once within the
+ * default limits.
+ */
+TEST(FrontendFuzz, MutatedSourceParsesOrIsRejected)
+{
+    support::Rng rng(0xF022ull);
+    int accepted = 0;
+    for (std::uint64_t i = 0; i < 3000; i++) {
+        std::string text = testgen::generateProgram(
+            i / 8, i % 2 ? testgen::Mode::MayFault
+                         : testgen::Mode::UbFree);
+        for (auto edits = rng.range(1, 3); edits > 0; edits--) {
+            const std::size_t at = rng.below(text.size());
+            switch (rng.below(4)) {
+              case 0:
+                text[at] = static_cast<char>(text[at] ^
+                                             (1 << rng.below(8)));
+                break;
+              case 1:
+                text.resize(at);
+                break;
+              case 2:
+                text.insert(at, 1, "(){}[]"[rng.below(6)]);
+                break;
+              default: {
+                const std::string span = text.substr(at, rng.range(1, 12));
+                for (auto n = rng.range(1, 4); n > 0; n--)
+                    text.insert(at, span);
+              }
+            }
+            if (text.empty())
+                break;
+        }
+        std::unique_ptr<minic::Program> program;
+        try {
+            program = minic::parseAndCheck(text);
+        } catch (const support::CompileError &) {
+            continue;
+        }
+        accepted++;
+        const std::string printed = minic::printProgram(*program);
+        EXPECT_EQ(minic::printProgram(*minic::parseAndCheck(printed)),
+                  printed)
+            << text;
+        const auto module = compiler::Compiler(*program).compile(kGccO0);
+        (void)vm::Vm(module, kGccO0).run({1, 2, 3});
+    }
+    EXPECT_GT(accepted, 0);
+}
 
 // ------------------------------------------------------------------
 // Per-implementation semantic pins: C-defined behavior must be

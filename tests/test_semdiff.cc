@@ -24,12 +24,12 @@
 #include "compdiff/implementation.hh"
 #include "compdiff/localize.hh"
 #include "minic/parser.hh"
+#include "program_gen.hh"
 #include "reduce/pipeline.hh"
 #include "reduce/report.hh"
 #include "semdiff/canon.hh"
 #include "semdiff/slice.hh"
 #include "support/hash.hh"
-#include "support/rng.hh"
 #include "support/strings.hh"
 
 namespace
@@ -37,137 +37,6 @@ namespace
 
 using namespace compdiff;
 using support::format;
-using support::Rng;
-
-/**
- * Random *well-defined* MiniC programs shaped to exercise every
- * canonicalizer pass: globals and a helper function (renaming and
- * call-graph ordering), an occasionally-unreachable decoy function
- * (pruning), guarded integer arithmetic (operand sorting), and runs
- * of plain assignments (statement sorting). cur_line/time_stamp/
- * bad_rand stay out: they would make behavior layout- or
- * environment-sensitive.
- */
-class CanonProgramGenerator
-{
-  public:
-    explicit CanonProgramGenerator(std::uint64_t seed) : rng_(seed)
-    {}
-
-    std::string
-    generate()
-    {
-        vars_ = 0;
-        std::string src;
-        const int globals = static_cast<int>(rng_.range(1, 3));
-        // Global initializers must be plain literals in MiniC, and a
-        // leading minus would parse as a unary expression.
-        for (int g = 0; g < globals; g++)
-            src += format("int glob%d = %ld;\n", g,
-                          rng_.range(0, 20));
-        globals_ = globals;
-
-        src += "int helper(int p0, int p1) {\n";
-        src += format("return ((p0 + p1) & 255) + glob0;\n");
-        src += "}\n";
-        if (rng_.chance(1, 2)) {
-            src += "int decoy_unused(int q) {\n";
-            src += "return q + 41;\n";
-            src += "}\n";
-        }
-
-        std::string body;
-        const int decls = static_cast<int>(rng_.range(2, 5));
-        for (int i = 0; i < decls; i++)
-            body += declare();
-        const int stmts = static_cast<int>(rng_.range(3, 9));
-        for (int i = 0; i < stmts; i++)
-            body += statement();
-        body += format("%s = helper(%s, %s);\n", var().c_str(),
-                       var().c_str(), var().c_str());
-        if (rng_.chance(1, 3)) {
-            // An unreachable tail for the dead-code pass to strip.
-            body += format("if (0 == 1) { return 9; %s = 1; }\n",
-                           var().c_str());
-        }
-        for (int i = 0; i < vars_; i++)
-            body += format("print_int(v%d); newline();\n", i);
-        return src + "int main() {\n" + body + "return 0;\n}\n";
-    }
-
-  private:
-    std::string
-    declare()
-    {
-        const int id = vars_++;
-        return format("int v%d = %ld;\n", id, rng_.range(-50, 50));
-    }
-
-    std::string
-    var()
-    {
-        return format("v%d",
-                      static_cast<int>(rng_.range(0, vars_ - 1)));
-    }
-
-    std::string
-    expr(int depth = 0)
-    {
-        if (depth > 2 || rng_.chance(1, 3)) {
-            if (rng_.chance(1, 4))
-                return format("glob%d",
-                              static_cast<int>(
-                                  rng_.range(0, globals_ - 1)));
-            return rng_.chance(1, 2)
-                       ? var()
-                       : format("%ld", rng_.range(-30, 30));
-        }
-        const std::string a = expr(depth + 1);
-        const std::string b = expr(depth + 1);
-        switch (rng_.below(6)) {
-          case 0:
-            return "(" + a + " + " + b + ")";
-          case 1:
-            return "(" + a + " - " + b + ")";
-          case 2:
-            return "((" + a + " % 100) * (" + b + " % 100))";
-          case 3:
-            return "(" + b + " == 0 ? 0 : " + a + " / " + b + ")";
-          case 4:
-            return "(" + a + " ^ " + b + ")";
-          default:
-            return "((" + a + ") & 255)";
-        }
-    }
-
-    std::string
-    statement()
-    {
-        switch (rng_.below(3)) {
-          case 0: {
-            // A run of plain assignments for the statement sorter.
-            std::string run;
-            const int len = static_cast<int>(rng_.range(2, 4));
-            for (int i = 0; i < len; i++)
-                run += format("v%d = %ld;\n",
-                              static_cast<int>(
-                                  rng_.range(0, vars_ - 1)),
-                              rng_.range(-9, 9));
-            return run;
-          }
-          case 1:
-            return "if (" + expr() + " > " + expr() + ") { " +
-                   var() + " = " + expr() + "; } else { " + var() +
-                   " = " + expr() + "; }\n";
-          default:
-            return var() + " = " + expr() + ";\n";
-        }
-    }
-
-    Rng rng_;
-    int vars_ = 0;
-    int globals_ = 1;
-};
 
 /**
  * canon(canon(p)) == canon(p), and the canonical program produces
@@ -222,16 +91,26 @@ expectIdempotentAndSound(const std::string &source,
 class CanonicalizerProperties : public testing::TestWithParam<int>
 {};
 
+/** Generated UB-free programs draw on every canonicalizer pass:
+ *  globals and a helper (renaming, call-graph order), a decoy
+ *  function (pruning), commutative operands, assignment runs
+ *  (statement sorting) and dead tails. From 45 on, each program also
+ *  reads past a string literal, its only undefined behavior, so the
+ *  canonical form must keep the rodata the read sees. */
 TEST_P(CanonicalizerProperties, IdempotentAndObservationSound)
 {
-    CanonProgramGenerator generator(
-        0x5EED0000ull + static_cast<std::uint64_t>(GetParam()));
-    expectIdempotentAndSound(generator.generate(),
-                             core::paper10Implementations());
+    const int param = GetParam();
+    expectIdempotentAndSound(
+        testgen::generateProgram(
+            0x5EED0000ull + static_cast<std::uint64_t>(param),
+            testgen::Mode::UbFree,
+            param < 45 ? testgen::Shape::None
+                       : testgen::Shape::StringOverread),
+        core::parseImplementations("all"));
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSweep, CanonicalizerProperties,
-                         testing::Range(0, 45));
+                         testing::Range(0, 60));
 
 TEST(Canonicalizer, AlphaVariantsShareOneForm)
 {

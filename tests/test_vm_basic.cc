@@ -420,9 +420,15 @@ TEST(VmBasic, CharSignedness)
 
 TEST(VmBasic, MissingMainIsFatal)
 {
-    auto program = minic::parseAndCheck("int f() { return 0; }");
+    // The frontend rejects such a program, so the module loses its
+    // main after compilation.
+    EXPECT_THROW(minic::parseAndCheck("int f() { return 0; }"),
+                 compdiff::support::CompileError);
+    auto program = minic::parseAndCheck(
+        "int f() { return 0; } int main() { return f(); }");
     compiler::Compiler comp(*program);
     auto module = comp.compile(kGccO0);
+    module.mainIndex = -1;
     Vm machine(module, kGccO0);
     EXPECT_THROW(machine.run({}), compdiff::support::FatalError);
 }
