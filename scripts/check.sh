@@ -177,7 +177,8 @@ smoke() {
     usage_error 'exclude each other' "$cli" --target=pktdump "$tmp/prog.mc"
     # Nesting past the parser's bound is a compile error naming its
     # line, not a stack overflow: 20,000 parenthesized groups, 20,000
-    # blocks and a sum of 20,000 terms.
+    # blocks and a sum of 20,000 terms. A compile error is one line
+    # per diagnostic.
     local shape
     run_of() { head -c "$1" /dev/zero | tr '\0' "$2"; }
     { printf 'int main() {\nreturn '; run_of 20000 '('; printf 1
@@ -190,7 +191,12 @@ smoke() {
         usage_error 'nesting deeper than 256 levels' \
             "$cli" --impls=gcc:-O0 "$tmp/deep_$shape.mc"
         grep -q 'error at 2:' "$tmp/usage_error.out"
+        test "$(wc -l < "$tmp/usage_error.out")" -eq 1
     done
+    printf 'int main() {\nreturn (;\n}\n' > "$tmp/syntax.mc"
+    usage_error "error at 2:9: unexpected ';' in expression" \
+        "$cli" --impls=gcc:-O0 "$tmp/syntax.mc"
+    test "$(wc -l < "$tmp/usage_error.out")" -eq 1
     usage_error 'unknown option --bogus' "$packetdump" --bogus
     usage_error 'unknown option --sync-every' "$fleet" --sync-every=30
     usage_error 'unknown option --status-every' "$fleet" --status-every=10
@@ -202,6 +208,16 @@ smoke() {
     usage_error 'abc: expected a non-negative decimal' \
         "$bench_dir/table3_juliet_detection" abc
     usage_error 'abc: expected an unsigned' "$bin_dir/juliet_triage" abc
+    usage_error 'abc: expected an unsigned' "$bench_dir/sec5_overhead" abc
+
+    echo "== sec5 smoke: one repetition prints every row"
+    (cd "$tmp" && "$bench_dir/sec5_overhead" 1) > "$tmp/sec5.out"
+    grep -Eq '^plain fuzzing +1 ' "$tmp/sec5.out"
+    grep -Eq '^k=2 gcc:-O0,clang:-O3 +1 ' "$tmp/sec5.out"
+    for jobs in 1 2 4; do
+        grep -Eq "^k=10 paper10 +$jobs " "$tmp/sec5.out"
+    done
+    grep -q 'nproc [1-9]' "$tmp/sec5.out"
 
     echo "== session smoke: interrupt-then-resume is bit-identical"
     # One uninterrupted pktdump campaign, and the same campaign run
@@ -399,47 +415,6 @@ smoke() {
     "$monitor" "$tmp/fleet_run" > "$tmp/fleet_mon_live.out"
     grep -Eq 'fleet pkt : [0-9]+ spawns, [1-9][0-9]* revivals' \
         "$tmp/fleet_mon_live.out"
-
-    echo "== bench_compare unit: missing entries skip, gate enforces"
-    if command -v python3 > /dev/null 2>&1; then
-        bench_py="$repo_root/scripts/bench_compare.py"
-        cat > "$tmp/bench_base.json" << 'EOF'
-{"benchmarks": [
-  {"name": "bm_shared", "items_per_second": 1000.0},
-  {"name": "bm_baseline_only", "items_per_second": 500.0}
-]}
-EOF
-        cat > "$tmp/bench_ok.json" << 'EOF'
-{"benchmarks": [
-  {"name": "bm_shared", "items_per_second": 990.0},
-  {"name": "bm_new", "items_per_second": 10.0},
-  {"name": "bm_unusable", "real_time": 0.0}
-]}
-EOF
-        # Entries missing from the baseline (or unusable) are skipped
-        # with a warning — never a KeyError — and do not fail --strict.
-        python3 "$bench_py" --baseline "$tmp/bench_base.json" \
-            --strict "$tmp/bench_ok.json" > "$tmp/bench_ok.out" 2>&1
-        grep -q 'no baseline entry; skipped' "$tmp/bench_ok.out"
-        grep -q 'bm_unusable.*no usable throughput' "$tmp/bench_ok.out"
-        grep -q 'dropped from current run' "$tmp/bench_ok.out"
-        cat > "$tmp/bench_bad.json" << 'EOF'
-{"benchmarks": [{"name": "bm_shared", "items_per_second": 100.0}]}
-EOF
-        # A 90% drop: warn-only exits 0, --strict fails, a tolerance
-        # wider than the drop passes again.
-        python3 "$bench_py" --baseline "$tmp/bench_base.json" \
-            "$tmp/bench_bad.json" > "$tmp/bench_warn.out"
-        grep -q 'WARNING' "$tmp/bench_warn.out"
-        python3 "$bench_py" --baseline "$tmp/bench_base.json" \
-            --strict "$tmp/bench_bad.json" > /dev/null 2>&1 \
-            && rc=0 || rc=$?
-        test "$rc" -eq 1
-        python3 "$bench_py" --baseline "$tmp/bench_base.json" \
-            --strict --tolerance 95 "$tmp/bench_bad.json" > /dev/null
-    else
-        echo "   (python3 not found; skipped)"
-    fi
 
     echo "== obs smoke: OK"
 }

@@ -32,9 +32,11 @@ covered=(
     examples/compdiff_fleet.cpp
     examples/compdiff_monitor.cpp
     examples/fuzz_packetdump.cpp
+    bench/sec5_overhead.cc
     tests/test_thread_pool.cc
     tests/test_parallel.cc
     tests/test_flags.cc
+    tests/test_work_pins.cc
 )
 
 if ! command -v clang-format > /dev/null 2>&1; then

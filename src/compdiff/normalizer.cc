@@ -57,13 +57,6 @@ OutputNormalizer::withDefaultFilters()
     return normalizer;
 }
 
-void
-OutputNormalizer::addPattern(const std::string &regex,
-                             const std::string &replacement)
-{
-    patterns_.push_back({std::regex(regex), replacement});
-}
-
 std::string
 OutputNormalizer::normalize(std::string output) const
 {
@@ -76,10 +69,6 @@ OutputNormalizer::normalize(std::string output) const
     bytes_in.add(output.size());
     if (stripTimestamps_)
         output = stripTimestamps(std::move(output));
-    for (const auto &filter : patterns_) {
-        output = std::regex_replace(output, filter.regex,
-                                    filter.replacement);
-    }
     bytes_out.add(output.size());
     return output;
 }

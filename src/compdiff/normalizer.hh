@@ -12,16 +12,14 @@
  * that filter stage.
  */
 
-#include <regex>
 #include <string>
-#include <vector>
 
 namespace compdiff::core
 {
 
 /**
- * The filters applied to program output before hashing: the built-in
- * timestamp filter (when enabled), then every added regex in order.
+ * The filter applied to program output before hashing: the built-in
+ * timestamp filter, when enabled.
  */
 class OutputNormalizer
 {
@@ -34,26 +32,15 @@ class OutputNormalizer
      * strips `[ts:<digits>]` timestamps (the time_stamp() builtin's
      * conventional rendering). It runs on every observation, so it is
      * a hand-written scan with the result of the regex
-     * `\[ts:[0-9]+\]` replaced by "", and it runs before any pattern
-     * added later.
+     * `\[ts:[0-9]+\]` replaced by "".
      */
     static OutputNormalizer withDefaultFilters();
 
-    /** Add a filter; every match is replaced with `replacement`. */
-    void addPattern(const std::string &regex,
-                    const std::string &replacement = "");
-
-    /** Apply all filters in order. */
+    /** Apply the filter. */
     std::string normalize(std::string output) const;
 
   private:
-    struct Filter
-    {
-        std::regex regex;
-        std::string replacement;
-    };
     bool stripTimestamps_ = false;
-    std::vector<Filter> patterns_;
 };
 
 } // namespace compdiff::core

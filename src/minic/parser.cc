@@ -1,5 +1,7 @@
 #include "minic/parser.hh"
 
+#include <algorithm>
+
 #include "minic/lexer.hh"
 #include "minic/sema.hh"
 #include "obs/metrics.hh"
@@ -14,12 +16,15 @@ using support::CompileError;
 namespace
 {
 
-/** Restores the parser's nesting depth when a construct ends. */
+/** Restores one of the parser's nesting levels when a construct
+ *  ends. */
 class DepthScope
 {
   public:
     explicit DepthScope(int &depth) : depth_(depth), saved_(depth) {}
     ~DepthScope() { depth_ = saved_; }
+    /** The level the construct began at. */
+    int outer() const { return saved_; }
     DepthScope(const DepthScope &) = delete;
     DepthScope &operator=(const DepthScope &) = delete;
 
@@ -36,7 +41,7 @@ Parser::Parser(std::string_view source, support::DiagnosticEngine &diags)
     Lexer lexer(source, diags_);
     tokens_ = lexer.lexAll();
     if (diags_.hasErrors())
-        throw CompileError("lex error:\n" + diags_.str());
+        throw CompileError(diags_.str());
 }
 
 const Token &
@@ -79,13 +84,23 @@ void
 Parser::errorHere(const std::string &message)
 {
     diags_.error(peek().loc, message);
-    throw CompileError("parse error:\n" + diags_.str());
+    throw CompileError(diags_.str());
 }
 
 void
-Parser::descend()
+Parser::descend(int &level)
 {
-    if (++depth_ > kMaxNestingDepth) {
+    if (++level > kMaxNestingDepth) {
+        errorHere("nesting deeper than " +
+                  std::to_string(kMaxNestingDepth) + " levels");
+    }
+}
+
+void
+Parser::built(int base, int height)
+{
+    height_ = height;
+    if (base + height > kMaxNestingDepth) {
         errorHere("nesting deeper than " +
                   std::to_string(kMaxNestingDepth) + " levels");
     }
@@ -289,7 +304,9 @@ Parser::parseStatement()
 {
     const auto loc = peek().loc;
     const DepthScope scope(depth_);
-    descend();
+    const DepthScope group_scope(groups_);
+    descend(depth_);
+    descend(groups_);
 
     if (check(TokKind::LBrace))
         return parseBlock();
@@ -457,22 +474,21 @@ Parser::parseAssignment()
 {
     const DepthScope scope(depth_);
     auto lhs = parseTernary();
+    const int lhs_height = height_;
 
     const auto loc = peek().loc;
-    if (accept(TokKind::Assign)) {
-        descend();
-        auto rhs = parseAssignment();
-        return std::make_unique<AssignExpr>(loc, std::move(lhs),
-                                            std::move(rhs));
-    }
-    if (auto op = compoundOpFor(peek().kind)) {
+    std::optional<BinaryOp> op;
+    if (!accept(TokKind::Assign)) {
+        op = compoundOpFor(peek().kind);
+        if (!op)
+            return lhs;
         advance();
-        descend();
-        auto rhs = parseAssignment();
-        return std::make_unique<AssignExpr>(loc, std::move(lhs),
-                                            std::move(rhs), op);
     }
-    return lhs;
+    descend(depth_);
+    auto rhs = parseAssignment();
+    built(scope.outer(), 1 + std::max(lhs_height, height_));
+    return std::make_unique<AssignExpr>(loc, std::move(lhs),
+                                        std::move(rhs), op);
 }
 
 ExprPtr
@@ -481,12 +497,15 @@ Parser::parseTernary()
     auto cond = parseBinary(1);
     if (!check(TokKind::Question))
         return cond;
+    int height = height_;
     const auto loc = advance().loc;
     const DepthScope scope(depth_);
-    descend();
+    descend(depth_);
     auto then_expr = parseExpr();
+    height = std::max(height, height_);
     expect(TokKind::Colon, "ternary");
     auto else_expr = parseTernary();
+    built(scope.outer(), 1 + std::max(height, height_));
     return std::make_unique<CondExpr>(loc, std::move(cond),
                                       std::move(then_expr),
                                       std::move(else_expr));
@@ -499,13 +518,18 @@ Parser::parseBinary(int min_prec)
     // deeper (a left-deep tree).
     const DepthScope scope(depth_);
     auto lhs = parseUnary();
+    int height = height_;
     for (;;) {
         const int prec = precedenceOf(peek().kind);
-        if (prec == 0 || prec < min_prec)
+        if (prec == 0 || prec < min_prec) {
+            height_ = height;
             return lhs;
+        }
         const Token &op_tok = advance();
-        descend();
+        descend(depth_);
         auto rhs = parseBinary(prec + 1);
+        height = 1 + std::max(height, height_);
+        built(scope.outer(), height);
         lhs = std::make_unique<BinaryExpr>(op_tok.loc,
                                            binaryOpFor(op_tok.kind),
                                            std::move(lhs),
@@ -518,41 +542,29 @@ Parser::parseUnary()
 {
     const auto loc = peek().loc;
     const DepthScope scope(depth_);
+    const auto unary = [&](UnaryOp op) -> ExprPtr {
+        advance();
+        descend(depth_);
+        auto operand = parseUnary();
+        built(scope.outer(), 1 + height_);
+        return std::make_unique<UnaryExpr>(loc, op, std::move(operand));
+    };
     switch (peek().kind) {
-      case TokKind::Minus:
-        advance();
-        descend();
-        return std::make_unique<UnaryExpr>(loc, UnaryOp::Neg,
-                                           parseUnary());
-      case TokKind::Tilde:
-        advance();
-        descend();
-        return std::make_unique<UnaryExpr>(loc, UnaryOp::BitNot,
-                                           parseUnary());
-      case TokKind::Bang:
-        advance();
-        descend();
-        return std::make_unique<UnaryExpr>(loc, UnaryOp::LogNot,
-                                           parseUnary());
-      case TokKind::Star:
-        advance();
-        descend();
-        return std::make_unique<UnaryExpr>(loc, UnaryOp::Deref,
-                                           parseUnary());
-      case TokKind::Amp:
-        advance();
-        descend();
-        return std::make_unique<UnaryExpr>(loc, UnaryOp::AddrOf,
-                                           parseUnary());
+      case TokKind::Minus: return unary(UnaryOp::Neg);
+      case TokKind::Tilde: return unary(UnaryOp::BitNot);
+      case TokKind::Bang: return unary(UnaryOp::LogNot);
+      case TokKind::Star: return unary(UnaryOp::Deref);
+      case TokKind::Amp: return unary(UnaryOp::AddrOf);
       case TokKind::Plus:
         advance();
-        descend();
+        descend(depth_);
         return parseUnary();
       case TokKind::KwSizeof: {
         advance();
         expect(TokKind::LParen, "sizeof");
         const Type *queried = parseType();
         expect(TokKind::RParen, "sizeof");
+        height_ = 0;
         return std::make_unique<SizeOfExpr>(loc, queried);
       }
       case TokKind::LParen:
@@ -570,9 +582,11 @@ Parser::parseUnary()
                 advance(); // (
                 const Type *target = parseType();
                 expect(TokKind::RParen, "cast");
-                descend();
+                descend(depth_);
+                auto operand = parseUnary();
+                built(scope.outer(), 1 + height_);
                 return std::make_unique<CastExpr>(loc, target,
-                                                  parseUnary());
+                                                  std::move(operand));
               }
               default:
                 break;
@@ -590,25 +604,23 @@ Parser::parsePostfix()
     const DepthScope scope(depth_);
     auto expr = parsePrimary();
     for (;;) {
+        const int base_height = height_;
         const auto loc = peek().loc;
         if (accept(TokKind::LBracket)) {
-            descend();
+            descend(depth_);
             auto index = parseExpr();
             expect(TokKind::RBracket, "subscript");
+            built(scope.outer(), 1 + std::max(base_height, height_));
             expr = std::make_unique<IndexExpr>(loc, std::move(expr),
                                                std::move(index));
-        } else if (accept(TokKind::Dot)) {
-            descend();
+        } else if (check(TokKind::Dot) || check(TokKind::Arrow)) {
+            const bool arrow = advance().is(TokKind::Arrow);
+            descend(depth_);
             const Token &field =
                 expect(TokKind::Identifier, "member access");
+            built(scope.outer(), 1 + base_height);
             expr = std::make_unique<MemberExpr>(loc, std::move(expr),
-                                                field.text, false);
-        } else if (accept(TokKind::Arrow)) {
-            descend();
-            const Token &field =
-                expect(TokKind::Identifier, "member access");
-            expr = std::make_unique<MemberExpr>(loc, std::move(expr),
-                                                field.text, true);
+                                                field.text, arrow);
         } else {
             return expr;
         }
@@ -620,6 +632,7 @@ Parser::parsePrimary()
 {
     const Token &tok = peek();
     const DepthScope scope(depth_);
+    height_ = 0;
     switch (tok.kind) {
       case TokKind::IntLiteral: {
         advance();
@@ -641,14 +654,17 @@ Parser::parsePrimary()
         advance();
         if (check(TokKind::LParen)) {
             advance();
-            descend();
+            descend(depth_);
             std::vector<ExprPtr> args;
+            int height = 0;
             if (!check(TokKind::RParen)) {
                 do {
                     args.push_back(parseAssignment());
+                    height = std::max(height, height_);
                 } while (accept(TokKind::Comma));
             }
             expect(TokKind::RParen, "call");
+            built(scope.outer(), 1 + height);
             return std::make_unique<CallExpr>(tok.loc, tok.text,
                                               std::move(args));
         }
@@ -656,7 +672,8 @@ Parser::parsePrimary()
       }
       case TokKind::LParen: {
         advance();
-        descend();
+        const DepthScope group_scope(groups_);
+        descend(groups_);
         auto inner = parseExpr();
         expect(TokKind::RParen, "parenthesized expression");
         return inner;
@@ -682,7 +699,7 @@ parseAndCheck(std::string_view source)
     obs::Span span("minic.sema");
     Sema sema(diags);
     if (!sema.analyze(*program))
-        throw CompileError("semantic error:\n" + diags.str());
+        throw CompileError(diags.str());
     return program;
 }
 

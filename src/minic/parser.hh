@@ -18,13 +18,18 @@ namespace compdiff::minic
 
 /**
  * How deep the parser lets a program nest (clang's default
- * -fbracket-depth is the same 256). Every statement, parenthesized
- * group, call, subscript, unary operator or cast, `?:` and assignment
- * adds a level around what it contains, and so does each operator of
- * a binary or postfix chain (those build left-deep trees). Past the
- * bound the parser throws support::CompileError, so every later
- * recursive walk of the AST (sema, the passes, lowering, the printer,
- * the reference interpreter) runs within a bounded stack.
+ * -fbracket-depth is the same 256). A statement is one level inside
+ * the one that contains it, and every call, subscript, member access,
+ * unary operator or cast, `?:`, assignment and binary operator is one
+ * level around its operands. The deepest point of every statement
+ * must lie within the bound, counted on the tree the parser builds,
+ * so every later recursive walk of the AST (sema, the passes,
+ * lowering, the printer, the reference interpreter) runs within a
+ * bounded stack. A parenthesized group builds no node, so groups
+ * count on their own: a statement's level plus the groups open inside
+ * it stays within the same bound. The printer parenthesizes at most
+ * one node per group, so the text it prints parses back. Past the
+ * bound the parser throws support::CompileError.
  */
 inline constexpr int kMaxNestingDepth = 256;
 
@@ -58,10 +63,15 @@ class Parser
     const Token &expect(TokKind kind, const char *context);
     [[noreturn]] void errorHere(const std::string &message);
 
-    /** Enter one more level of nesting; a CompileError past
-     *  kMaxNestingDepth. Callers restore depth_ when the construct
-     *  ends (a DepthScope does). */
-    void descend();
+    /** Enter one more level of `level` (depth_ or groups_); a
+     *  CompileError past kMaxNestingDepth. Callers restore it when
+     *  the construct ends (a DepthScope does). */
+    void descend(int &level);
+
+    /** The expression just built stands `base` levels deep and is
+     *  `height` levels tall; a CompileError when its deepest operand
+     *  lies past kMaxNestingDepth. */
+    void built(int base, int height);
 
     /** True if the upcoming tokens start a type. */
     bool atTypeStart() const;
@@ -90,7 +100,19 @@ class Parser
     std::unique_ptr<Program> program_;
     std::vector<Token> tokens_;
     std::size_t pos_ = 0;
+    /** Levels of statements and operators open at the current token:
+     *  bounds the parser's own recursion. An operand parsed before
+     *  its operator (the left one of a binary or postfix chain, a
+     *  `?:` condition, an assignment target) is counted short here,
+     *  and heights catch it. */
     int depth_ = 0;
+    /** Statements plus the parenthesized groups open at the current
+     *  token. */
+    int groups_ = 0;
+    /** Height of the expression the last expression parser returned:
+     *  0 for a literal, a name or a sizeof, one more than its tallest
+     *  operand for any other node. */
+    int height_ = 0;
     support::DiagnosticEngine &diags_;
 };
 

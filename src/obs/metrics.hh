@@ -8,9 +8,9 @@
  * Design constraints (in order):
  *   1. Hot-path bumps must be cheap: a handle bump is one relaxed
  *      atomic load (the global enabled switch) plus one relaxed
- *      atomic add. With metrics disabled the bump is a no-op, so
- *      `overhead_microbench` measures the same inner loop the seed
- *      build did.
+ *      atomic add. With metrics disabled the bump is a no-op, so a
+ *      campaign without telemetry runs the same inner loop as a
+ *      build without this layer.
  *   2. Zero dependencies beyond src/support.
  *   3. Deterministic: nothing here reads the wall clock; instruction
  *      counts are the pipeline's time axis.

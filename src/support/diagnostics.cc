@@ -48,10 +48,13 @@ DiagnosticEngine::note(SourceLoc loc, std::string message)
 std::string
 DiagnosticEngine::str() const
 {
-    std::ostringstream os;
-    for (const auto &d : diags_)
-        os << d.str() << "\n";
-    return os.str();
+    std::string text;
+    for (const auto &d : diags_) {
+        if (!text.empty())
+            text += '\n';
+        text += d.str();
+    }
+    return text;
 }
 
 void

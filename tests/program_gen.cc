@@ -263,7 +263,7 @@ class Generator
     }
 
     /** A statement of main nesting `depth` levels: itself, and each
-     *  block, call, assignment, group and chained operator. */
+     *  block, call, assignment and operator (a group is no level). */
     std::string deep(std::size_t depth)
     {
         if (oneIn(2)) {
@@ -271,7 +271,7 @@ class Generator
                    std::string(depth - 2, '}') + "\n";
         }
         std::string chain = "i1"; // left-deep, in the printer's form
-        for (std::size_t n = 3; n < depth; n++)
+        for (std::size_t n = 3; n <= depth; n++)
             chain = "(" + chain + (n % 2 ? " + 1)" : " - 1)");
         return "i0 = " + chain + ";\n";
     }

@@ -32,15 +32,6 @@ TEST(Normalizer, StripsTimestamps)
     EXPECT_EQ(normalizer.normalize("no stamps"), "no stamps");
 }
 
-TEST(Normalizer, CustomPatterns)
-{
-    OutputNormalizer normalizer;
-    normalizer.addPattern("[0-9]{2}:[0-9]{2}:[0-9]{2}\\.[0-9]+",
-                          "<time>");
-    EXPECT_EQ(normalizer.normalize("10:44:23.405830 [Epan WARNING]"),
-              "<time> [Epan WARNING]");
-}
-
 TEST(Normalizer, EmptyOutput)
 {
     auto normalizer = OutputNormalizer::withDefaultFilters();
@@ -73,22 +64,6 @@ TEST(Normalizer, MixedCrLfLineEndings)
     EXPECT_EQ(normalizer.normalize("[ts:12\r\n34]"), "[ts:12\r\n34]");
 }
 
-TEST(Normalizer, PointerTokensAtLineBoundaries)
-{
-    OutputNormalizer normalizer;
-    normalizer.addPattern("0x[0-9a-f]+", "<ptr>");
-    // Token at line start, line end, and as the entire line.
-    EXPECT_EQ(normalizer.normalize("0xdeadbeef leaked\n"),
-              "<ptr> leaked\n");
-    EXPECT_EQ(normalizer.normalize("at 0x7ffe01\nnext"),
-              "at <ptr>\nnext");
-    EXPECT_EQ(normalizer.normalize("0xabc"), "<ptr>");
-    EXPECT_EQ(normalizer.normalize("0x1 0x2\n0x3"),
-              "<ptr> <ptr>\n<ptr>");
-    // Not a pointer: no hex digits after the prefix.
-    EXPECT_EQ(normalizer.normalize("0x"), "0x");
-}
-
 /** The built-in timestamp filter leaves exactly the text that
  *  std::regex_replace with its pattern leaves, on strings dense in
  *  near-miss stamps. */
@@ -112,19 +87,6 @@ TEST(Normalizer, DefaultFilterMatchesRegex)
                   std::regex_replace(text, stamp, ""))
             << "input #" << i;
     }
-}
-
-/** Timestamps are stripped before any added pattern runs. */
-TEST(Normalizer, TimestampFilterRunsBeforeAddedPatterns)
-{
-    auto normalizer = OutputNormalizer::withDefaultFilters();
-    // Run after the strip, this pattern finds no stamp left to cut.
-    normalizer.addPattern(R"(\[ts:[0-9]+)", "<partial>");
-    EXPECT_EQ(normalizer.normalize("a [ts:12] b"), "a  b");
-    // A stamp that an added pattern completes is not stripped.
-    auto completing = OutputNormalizer::withDefaultFilters();
-    completing.addPattern("x");
-    EXPECT_EQ(completing.normalize("[ts:1x2]"), "[ts:12]");
 }
 
 TEST(DiffEngine, DetectsListing1)

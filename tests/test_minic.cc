@@ -7,6 +7,7 @@
 
 #include "minic/lexer.hh"
 #include "minic/parser.hh"
+#include "minic/printer.hh"
 #include "minic/sema.hh"
 #include "support/diagnostics.hh"
 
@@ -126,6 +127,17 @@ TEST(Parser, SyntaxErrorThrows)
                  CompileError);
 }
 
+TEST(Parser, CompileErrorIsOneLinePerDiagnostic)
+{
+    try {
+        parseAndCheck("int main() {\n    return (;\n}\n");
+        ADD_FAILURE() << "parsed";
+    } catch (const CompileError &error) {
+        EXPECT_STREQ(error.what(),
+                     "error at 2:13: unexpected ';' in expression");
+    }
+}
+
 // Three shapes whose deepest point nests exactly `depth` levels, all
 // on line 2: the return statement is one level, and each
 // parenthesized group, block or operator of a chain adds one.
@@ -175,6 +187,51 @@ TEST(Parser, NestingPastTheBoundIsACompileError)
             }
         }
     }
+}
+
+std::string
+repeated(const std::string &text, int count)
+{
+    std::string out;
+    for (int i = 0; i < count; i++)
+        out += text;
+    return out;
+}
+
+// A sum of `inside` + 1 terms in a group, which heads `outside` more.
+std::string
+groupedSum(int inside, int outside)
+{
+    return "int main() {\n    return (1" + repeated(" + 1", inside) +
+           ")" + repeated(" + 1", outside) + ";\n}\n";
+}
+
+// The printer parenthesizes every binary operator, so printed text
+// opens a group per operator where the source opened none. What
+// parses at the bound still parses once printed.
+TEST(Parser, PrintedTextAtTheBoundParses)
+{
+    const std::string ladder =
+        "int main() {\n    int a = 1;\n    " + repeated("{", 236) +
+        "a = a || a && a | a ^ a & a == a < a << a + a * a;" +
+        repeated("}", 236) + "\n    return a;\n}\n";
+    for (const std::string &source :
+         {flatSum(kMaxNestingDepth), ladder, groupedSum(127, 128)}) {
+        const std::string printed =
+            printProgram(*parseAndCheck(source));
+        std::unique_ptr<Program> reparsed;
+        ASSERT_NO_THROW(reparsed = parseAndCheck(printed)) << printed;
+        EXPECT_EQ(printProgram(*reparsed), printed);
+    }
+}
+
+// The bound counts the tree the parser builds, so a group does not
+// restart it: a chain inside a group and the chain it heads add up.
+TEST(Parser, GroupsDoNotRestartTheBound)
+{
+    EXPECT_NO_THROW(parseAndCheck(groupedSum(127, 128)));
+    EXPECT_THROW(parseAndCheck(groupedSum(128, 128)), CompileError);
+    EXPECT_THROW(parseAndCheck(groupedSum(128, 20'000)), CompileError);
 }
 
 TEST(Sema, TypesExpressions)
